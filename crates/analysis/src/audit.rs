@@ -41,7 +41,6 @@
 //! | `task-partition` | tasks partition the locally controlled actions: no duplicate tasks, no action owned by two tasks, no orphan or ghost-owned vocabulary action, inputs belong to no task |
 //! | `task-determinism` | per task and component state: the determinization is canonical (`succ_det` = first branch), enumeration is stable across calls, process tasks have exactly one branch, at most one distinct non-dummy action label |
 //! | `symmetry-honesty` | each claimed `id_symmetric`/`endpoint_symmetric` flag: the component-local transition functions commute with id permutations (adjacent transpositions generate the whole group) |
-//! | `value-symmetry` | each claimed `value_symmetric` flag: the component-local transition functions commute with the structural 0 ↔ 1 relabeling (`spec::RelabelValues`), the soundness precondition of the composed `S_n × S_vals` quotient |
 //! | `effect-purity` | dual evaluation of every cached deterministic half on isomorphic contexts agrees — the `effect_cache` soundness precondition |
 //! | `independence-census` | report artifact: the static table of commuting task pairs (disjoint footprints), the enabling input for partial-order reduction |
 //!
@@ -57,14 +56,14 @@
 use ioa::automaton::{ActionKind, Automaton};
 use ioa::canon::{Perm, SymmetryMode};
 use services::{ArcService, SvcState};
-use spec::{ProcId, RelabelValues, Resp, SvcId, ValuePerm};
+use spec::{ProcId, Resp, SvcId};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Debug;
 use system::action::{Action, Task};
 use system::build::{CompleteSystem, SystemState};
 use system::packed::{permute_svc_state, PackedSystem};
-use system::process::{ProcAction, ProcessAutomaton};
+use system::process::ProcessAutomaton;
 
 /// Budgets bounding every closure the auditor enumerates. All checks
 /// stay polynomial in these bounds; hitting one records bounded
@@ -130,9 +129,6 @@ pub enum RuleId {
     TaskDeterminism,
     /// Claimed symmetry flags commute with id permutations.
     SymmetryHonesty,
-    /// Claimed `value_symmetric` flags commute with the 0 ↔ 1
-    /// relabeling (dual evaluation through [`spec::RelabelValues`]).
-    ValueSymmetry,
     /// Transition effects are pure (dual evaluation agrees).
     EffectPurity,
     /// The commuting-task-pair census (report artifact, never fails).
@@ -147,7 +143,6 @@ impl RuleId {
             RuleId::TaskPartition => "task-partition",
             RuleId::TaskDeterminism => "task-determinism",
             RuleId::SymmetryHonesty => "symmetry-honesty",
-            RuleId::ValueSymmetry => "value-symmetry",
             RuleId::EffectPurity => "effect-purity",
             RuleId::IndependenceCensus => "independence-census",
         }
@@ -155,12 +150,11 @@ impl RuleId {
 
     /// All rules, in report order.
     #[must_use]
-    pub fn all() -> [RuleId; 6] {
+    pub fn all() -> [RuleId; 5] {
         [
             RuleId::TaskPartition,
             RuleId::TaskDeterminism,
             RuleId::SymmetryHonesty,
-            RuleId::ValueSymmetry,
             RuleId::EffectPurity,
             RuleId::IndependenceCensus,
         ]
@@ -990,245 +984,6 @@ fn check_symmetry<P: ProcessAutomaton>(
     res
 }
 
-/// The structural 0 ↔ 1 relabeling of a process action: the carried
-/// invocation/response/decision payload is relabeled, the action shape
-/// and addressed service are not.
-fn relabel_proc_action(a: &ProcAction, vp: ValuePerm) -> ProcAction {
-    match a {
-        ProcAction::Invoke(c, inv) => ProcAction::Invoke(*c, inv.relabel_values(vp)),
-        ProcAction::Decide(v) => ProcAction::Decide(v.relabel_values(vp)),
-        ProcAction::Output(r) => ProcAction::Output(r.relabel_values(vp)),
-        ProcAction::Skip => ProcAction::Skip,
-    }
-}
-
-/// Rule: `value-symmetry`. Every component claiming
-/// `value_symmetric()` must have its transition functions commute with
-/// the structural 0 ↔ 1 relabeling — dual evaluation of each
-/// transition on a state and on its relabeled image must land on
-/// relabeled images of each other. `S_vals = Z/2`, so the single
-/// generator [`ValuePerm::Swap`] is the whole check. A lying flag
-/// would let the composed `S_n × S_vals` quotient merge states whose
-/// futures decide *different* values, corrupting valence verdicts —
-/// which is why [`effective_symmetry`] degrades `Values` to `Full`
-/// when this rule finds a counterexample.
-fn check_value_symmetry<P: ProcessAutomaton>(
-    sys: &CompleteSystem<P>,
-    cfg: &AuditConfig,
-    svc_closures: &[Vec<SvcState>],
-    proc_closures: &[Vec<P::State>],
-) -> RuleResult {
-    let procs = sys.process_automaton();
-    let n = sys.process_count();
-    let vp = ValuePerm::Swap;
-    let mut res = RuleResult::clean(RuleId::ValueSymmetry);
-    let mut audited = 0usize;
-
-    if procs.value_symmetric() {
-        audited += 1;
-        let resp_vocab = harvest_resp_vocab(svc_closures);
-        for (pi, closure) in proc_closures.iter().enumerate().take(n) {
-            let i = ProcId(pi);
-            if procs.initial(i).relabel_values(vp) != procs.initial(i) {
-                res.push(
-                    cfg,
-                    format!("{i}"),
-                    format!("initial({i}) is not fixed by the 0↔1 relabeling"),
-                );
-            }
-            for st in closure {
-                let rst = st.relabel_values(vp);
-                for v in procs.audit_inputs() {
-                    let lhs = procs.on_init(i, &rst, &v.relabel_values(vp));
-                    let rhs = procs.on_init(i, st, &v).relabel_values(vp);
-                    if lhs != rhs {
-                        res.push(
-                            cfg,
-                            format!("{i}"),
-                            format!(
-                                "on_init({v}) at state {st:?} does not commute with the \
-                                 0↔1 relabeling despite value_symmetric()"
-                            ),
-                        );
-                    }
-                }
-                let (a, s2) = procs.step(i, st);
-                let (ra, rs2) = procs.step(i, &rst);
-                if (ra, rs2) != (relabel_proc_action(&a, vp), s2.relabel_values(vp)) {
-                    res.push(
-                        cfg,
-                        format!("{i}"),
-                        format!(
-                            "step at state {st:?} does not commute with the 0↔1 \
-                             relabeling despite value_symmetric()"
-                        ),
-                    );
-                }
-                if procs.decision(&rst) != procs.decision(st).map(|v| v.relabel_values(vp)) {
-                    res.push(
-                        cfg,
-                        format!("{i}"),
-                        format!(
-                            "decision at state {st:?} does not commute with the 0↔1 \
-                             relabeling despite value_symmetric()"
-                        ),
-                    );
-                }
-                for (c, r) in endpoint_resp_vocab(sys, i, &resp_vocab) {
-                    let lhs = procs.on_response(i, &rst, c, &r.relabel_values(vp));
-                    let rhs = procs.on_response(i, st, c, &r).relabel_values(vp);
-                    if lhs != rhs {
-                        res.push(
-                            cfg,
-                            format!("{i}"),
-                            format!(
-                                "on_response({c}, {r}) at state {st:?} does not commute \
-                                 with the 0↔1 relabeling despite value_symmetric()"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    for (c, svc) in sys.services().iter().enumerate() {
-        if !svc.value_symmetric() {
-            continue;
-        }
-        audited += 1;
-        let c = SvcId(c);
-        // The initial-state set must be closed under the relabeling
-        // (as a set — a fresh consensus object's empty value is fixed,
-        // a binary register's {0, 1} initial choices swap onto each
-        // other).
-        let inits = sorted(svc.initial_states());
-        let rinits = sorted(
-            svc.initial_states()
-                .iter()
-                .map(|s| s.relabel_values(vp))
-                .collect(),
-        );
-        if inits != rinits {
-            res.push(
-                cfg,
-                format!("{c}"),
-                "initial-state set is not closed under the 0↔1 relabeling".to_string(),
-            );
-        }
-        for st in &svc_closures[c.0] {
-            let rst = st.relabel_values(vp);
-            for &i in &svc.endpoints().iter().copied().collect::<Vec<_>>() {
-                for inv in svc.invocations() {
-                    let lhs = svc
-                        .enqueue_invocation(i, &inv.relabel_values(vp), &rst)
-                        .map(|s| s.relabel_values(vp));
-                    let rhs = svc.enqueue_invocation(i, &inv, st);
-                    if lhs != rhs {
-                        res.push(
-                            cfg,
-                            format!("{c}"),
-                            format!(
-                                "enqueue({inv}) at endpoint {i} does not commute with \
-                                 the 0↔1 relabeling on state [{st}]"
-                            ),
-                        );
-                    }
-                }
-                let lhs = sorted(
-                    svc.perform_all(i, st)
-                        .iter()
-                        .map(|s| s.relabel_values(vp))
-                        .collect(),
-                );
-                let rhs = sorted(svc.perform_all(i, &rst));
-                if lhs != rhs {
-                    res.push(
-                        cfg,
-                        format!("{c}"),
-                        format!(
-                            "perform at endpoint {i} does not commute with the 0↔1 \
-                             relabeling on state [{st}]"
-                        ),
-                    );
-                }
-                let lhs = svc
-                    .pop_response(i, st)
-                    .map(|(r, s)| (r.relabel_values(vp), s.relabel_values(vp)));
-                let rhs = svc.pop_response(i, &rst);
-                if lhs != rhs {
-                    res.push(
-                        cfg,
-                        format!("{c}"),
-                        format!(
-                            "pop_response at endpoint {i} does not commute with the \
-                             0↔1 relabeling on state [{st}]"
-                        ),
-                    );
-                }
-                if svc.dummy_perform_enabled(i, st) != svc.dummy_perform_enabled(i, &rst)
-                    || svc.dummy_output_enabled(i, st) != svc.dummy_output_enabled(i, &rst)
-                {
-                    res.push(
-                        cfg,
-                        format!("{c}"),
-                        format!(
-                            "dummy enablement at endpoint {i} not invariant under the \
-                             0↔1 relabeling on state [{st}]"
-                        ),
-                    );
-                }
-                if svc.apply_fail(i, st).relabel_values(vp) != svc.apply_fail(i, &rst) {
-                    res.push(
-                        cfg,
-                        format!("{c}"),
-                        format!(
-                            "apply_fail at endpoint {i} does not commute with the 0↔1 \
-                             relabeling on state [{st}]"
-                        ),
-                    );
-                }
-            }
-            for g in svc.global_tasks() {
-                let lhs = sorted(
-                    svc.compute_all(&g, st)
-                        .iter()
-                        .map(|s| s.relabel_values(vp))
-                        .collect(),
-                );
-                let rhs = sorted(svc.compute_all(&g, &rst));
-                if lhs != rhs {
-                    res.push(
-                        cfg,
-                        format!("{c}"),
-                        format!(
-                            "compute({g}) does not commute with the 0↔1 relabeling \
-                             on state [{st}]"
-                        ),
-                    );
-                }
-            }
-            if svc.dummy_compute_enabled(st) != svc.dummy_compute_enabled(&rst) {
-                res.push(
-                    cfg,
-                    format!("{c}"),
-                    format!(
-                        "dummy_compute enablement not invariant under the 0↔1 \
-                         relabeling on state [{st}]"
-                    ),
-                );
-            }
-        }
-    }
-
-    if audited == 0 && res.status == RuleStatus::Clean {
-        res.note = Some("no component claims value symmetry; nothing to audit".into());
-    } else if res.status == RuleStatus::Clean {
-        res.note = Some(format!("{audited} value-symmetry claim(s) verified"));
-    }
-    res
-}
-
 /// The subset of the response vocabulary process `i` can actually
 /// receive: `b_{i,c}` actions exist only for services with `i` in
 /// their endpoint set, so feeding a foreign service's responses into
@@ -1418,7 +1173,6 @@ pub fn audit_system<P: ProcessAutomaton>(
         matches!(t, Task::Proc(_))
     });
     let symmetry = check_symmetry(sys, cfg, &svc_closures, &proc_closures);
-    let value_symmetry = check_value_symmetry(sys, cfg, &svc_closures, &proc_closures);
     let mut purity = check_purity_probes(sys, cfg, &probe_tasks);
     check_purity_components(sys, cfg, &svc_closures, &proc_closures, &mut purity);
 
@@ -1430,14 +1184,7 @@ pub fn audit_system<P: ProcessAutomaton>(
 
     AuditReport {
         substrate: name.to_string(),
-        rules: vec![
-            partition,
-            determinism,
-            symmetry,
-            value_symmetry,
-            purity,
-            census,
-        ],
+        rules: vec![partition, determinism, symmetry, purity, census],
         component_states,
         bounded,
         independent_pairs: pairs.len(),
@@ -1517,15 +1264,12 @@ where
 }
 
 /// The symmetry mode quotient exploration may actually trust: the
-/// requested mode, degraded stepwise (with a warning on stderr) when
-/// the substrate's claims fail the audit. A `symmetry-honesty` failure
-/// degrades every reducing mode to [`SymmetryMode::Off`]; a
-/// `value-symmetry` failure degrades [`SymmetryMode::Values`] to
-/// [`SymmetryMode::Full`] — the process-id quotient stays trustworthy
-/// even when the value-relabeling claim is a lie. Substrates that
-/// claim no symmetry, and systems the packed canonicalizer would not
-/// quotient anyway, pass through unchanged — honest substrates pay one
-/// small component-local audit per *system instance* (the verdict is
+/// requested mode, degraded to [`SymmetryMode::Off`] (with a warning
+/// on stderr) when the substrate's symmetry claims fail the
+/// `symmetry-honesty` audit. Substrates that claim no symmetry, and
+/// systems the packed canonicalizer would not quotient anyway, pass
+/// through unchanged — honest substrates pay one small
+/// component-local audit per *system instance* (the verdict is
 /// memoized on the composition), never a state-space sweep.
 #[must_use]
 pub fn effective_symmetry<P: ProcessAutomaton>(
@@ -1537,12 +1281,12 @@ pub fn effective_symmetry<P: ProcessAutomaton>(
         // layer will degenerate to the identity on its own.
         return requested;
     }
-    // The verdicts are pure functions of the immutable composition, so
-    // they are memoized on the system instance: repeated explorations
-    // of one system (the common shape in sweeps and benches) pay the
-    // gate once, then an atomic load. The degradation warnings
-    // consequently print once per system, not once per exploration.
-    let (id_trusted, value_trusted) = *sys.symmetry_audit_cache().get_or_init(|| {
+    // The verdict is a pure function of the immutable composition, so
+    // it is memoized on the system instance: repeated explorations of
+    // one system (the common shape in sweeps and benches) pay the gate
+    // once, then an atomic load. The degradation warning consequently
+    // prints once per system, not once per exploration.
+    let trusted = *sys.symmetry_audit_cache().get_or_init(|| {
         let cfg = AuditConfig::gate();
         let mut svc_closures: Vec<Vec<SvcState>> = Vec::new();
         for svc in sys.services() {
@@ -1557,8 +1301,8 @@ pub fn effective_symmetry<P: ProcessAutomaton>(
             proc_closures.push(states);
         }
         let result = check_symmetry(sys, &cfg, &svc_closures, &proc_closures);
-        let id_trusted = result.status != RuleStatus::Violation;
-        if !id_trusted {
+        let trusted = result.status != RuleStatus::Violation;
+        if !trusted {
             eprintln!(
                 "warning: symmetry-honesty audit rejected this substrate's symmetry claim; \
                  degrading to SYMMETRY=off ({} counterexample(s), first: {})",
@@ -1569,35 +1313,12 @@ pub fn effective_symmetry<P: ProcessAutomaton>(
                     .map_or_else(|| "<unrecorded>".to_string(), ToString::to_string),
             );
         }
-        // The value audit only has teeth when the packed layer would
-        // compose the relabeling at all; otherwise the bit is unused.
-        let value_trusted = if PackedSystem::value_symmetric_system(sys) {
-            let result = check_value_symmetry(sys, &cfg, &svc_closures, &proc_closures);
-            let ok = result.status != RuleStatus::Violation;
-            if !ok {
-                eprintln!(
-                    "warning: value-symmetry audit rejected this substrate's value-relabeling \
-                     claim; degrading SYMMETRY=values to SYMMETRY=full ({} counterexample(s), \
-                     first: {})",
-                    result.violation_count,
-                    result
-                        .violations
-                        .first()
-                        .map_or_else(|| "<unrecorded>".to_string(), ToString::to_string),
-                );
-            }
-            ok
-        } else {
-            true
-        };
-        (id_trusted, value_trusted)
+        trusted
     });
-    if !id_trusted {
-        SymmetryMode::Off
-    } else if requested.wants_values() && !value_trusted {
-        SymmetryMode::Full
-    } else {
+    if trusted {
         requested
+    } else {
+        SymmetryMode::Off
     }
 }
 

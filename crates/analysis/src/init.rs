@@ -14,6 +14,11 @@
 //! system violates `(f+1)`-resilient consensus (the Lemma 4 argument
 //! turns such a pair into a contradiction by failing the process whose
 //! input differs).
+//!
+//! The rules that turn root valences into an outcome live in one
+//! place, [`Lemma4`]: the early-exit walk here and the witness
+//! pipeline's single pass over every root (`crate::witness`) both
+//! apply them.
 
 use crate::valence::{Truncated, Valence, ValenceMap};
 use ioa::canon::SymmetryMode;
@@ -64,6 +69,91 @@ pub enum InitOutcome<P: ProcessAutomaton> {
         /// Its computed valence.
         valence: Valence,
     },
+}
+
+/// Lemma 4's verdict on the monotone initializations, by the number of
+/// ones in the deciding assignment `α_ones`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Lemma4 {
+    /// `α_ones` is bivalent.
+    Bivalent(usize),
+    /// `α_ones` reaches no decision.
+    Undecided(usize),
+    /// A unanimous end has the wrong valence: `α_0` is not 0-valent or
+    /// `α_n` is not 1-valent.
+    ValidityBroken(usize, Valence),
+    /// Every root is univalent; `α_ones` is 0-valent and `α_{ones+1}`
+    /// 1-valent.
+    Adjacent(usize),
+}
+
+impl Lemma4 {
+    /// Whether root `α_ones` of `n + 1` settles the walk on its own: it
+    /// is bivalent, undecided, or a unanimous end of the wrong valence.
+    /// The first such root in walk order decides the outcome.
+    pub(crate) fn settled_by(n: usize, ones: usize, v: Valence) -> Option<Lemma4> {
+        match v {
+            Valence::Bivalent => Some(Lemma4::Bivalent(ones)),
+            Valence::Undecided => Some(Lemma4::Undecided(ones)),
+            v if (ones == 0 && v != Valence::Zero) || (ones == n && v != Valence::One) => {
+                Some(Lemma4::ValidityBroken(ones, v))
+            }
+            _ => None,
+        }
+    }
+
+    /// The verdict on the valences of `α_0, …, α_n`: the first root
+    /// that settles the walk, else the adjacent 0-valent/1-valent flip.
+    pub(crate) fn of(valences: &[Valence]) -> Lemma4 {
+        let n = valences.len() - 1;
+        valences
+            .iter()
+            .enumerate()
+            .find_map(|(ones, &v)| Lemma4::settled_by(n, ones, v))
+            .unwrap_or_else(|| {
+                // All univalent with α_0 0-valent and α_n 1-valent, so
+                // a flip exists.
+                let flip = valences
+                    .windows(2)
+                    .position(|w| w[0] == Valence::Zero && w[1] == Valence::One)
+                    .expect("α_0 is 0-valent and α_n is 1-valent, so a flip exists");
+                Lemma4::Adjacent(flip)
+            })
+    }
+
+    /// The outcome this verdict names, for `n` processes, with the
+    /// bivalent root's map when there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Lemma4::Bivalent`] without a map.
+    pub(crate) fn outcome<P: ProcessAutomaton>(
+        self,
+        n: usize,
+        map: Option<ValenceMap<P>>,
+    ) -> InitOutcome<P> {
+        let assignment = |ones| InputAssignment::monotone(n, ones);
+        match self {
+            Lemma4::Bivalent(ones) => InitOutcome::Bivalent {
+                assignment: assignment(ones),
+                map: map.expect("a bivalent outcome carries its map"),
+            },
+            Lemma4::Undecided(ones) => InitOutcome::Undecided {
+                assignment: assignment(ones),
+            },
+            Lemma4::ValidityBroken(ones, valence) => InitOutcome::ValidityBroken {
+                assignment: assignment(ones),
+                valence,
+            },
+            Lemma4::Adjacent(flip) => InitOutcome::AdjacentContradiction {
+                zero: assignment(flip),
+                one: assignment(flip + 1),
+                // monotone(n, ones) and monotone(n, ones+1) differ at
+                // index `ones`.
+                differing: ProcId(flip),
+            },
+        }
+    }
 }
 
 /// Walks `α_0, …, α_n` (Lemma 4) and classifies each initialization.
@@ -123,43 +213,15 @@ pub fn find_bivalent_init_sym<P: ProcessAutomaton>(
     let packed = PackedSystem::with_symmetry(sys, symmetry);
     let mut valences: Vec<Valence> = Vec::with_capacity(n + 1);
     for ones in 0..=n {
-        let assignment = InputAssignment::monotone(n, ones);
-        let root = initialize(sys, &assignment);
+        let root = initialize(sys, &InputAssignment::monotone(n, ones));
         let map = ValenceMap::build_in(sys, &packed, root.clone(), max_states, threads)?;
         let v = map.valence(&root);
-        match v {
-            Valence::Bivalent => {
-                return Ok(InitOutcome::Bivalent { assignment, map });
-            }
-            Valence::Undecided => {
-                return Ok(InitOutcome::Undecided { assignment });
-            }
-            univalent => {
-                // Validity sanity: α_0 must be 0-valent, α_n 1-valent.
-                if (ones == 0 && univalent != Valence::Zero)
-                    || (ones == n && univalent != Valence::One)
-                {
-                    return Ok(InitOutcome::ValidityBroken {
-                        assignment,
-                        valence: univalent,
-                    });
-                }
-                valences.push(univalent);
-            }
+        if let Some(settled) = Lemma4::settled_by(n, ones, v) {
+            return Ok(settled.outcome(n, Some(map)));
         }
+        valences.push(v);
     }
-    // All univalent: find the adjacent flip (must exist since the ends
-    // differ).
-    let flip = valences
-        .windows(2)
-        .position(|w| w[0] == Valence::Zero && w[1] == Valence::One)
-        .expect("α_0 is 0-valent and α_n is 1-valent, so a flip exists");
-    Ok(InitOutcome::AdjacentContradiction {
-        zero: InputAssignment::monotone(n, flip),
-        one: InputAssignment::monotone(n, flip + 1),
-        // monotone(n, ones) and monotone(n, ones+1) differ at index `ones`.
-        differing: ProcId(flip),
-    })
+    Ok(Lemma4::of(&valences).outcome(n, None))
 }
 
 #[cfg(test)]

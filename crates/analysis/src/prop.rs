@@ -38,15 +38,13 @@ use ioa::csr::Csr;
 use ioa::explore::ExploredGraph;
 use ioa::fixpoint;
 use ioa::store::StateId;
-use spec::{ProcId, Val, ValuePerm};
+use spec::{ProcId, Val};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use system::build::{CompleteSystem, SystemState};
 use system::consensus::{check_safety, InputAssignment};
-use system::packed::{
-    canonical_system_state_with, permute_system_state, permute_task, relabel_system_state,
-};
+use system::packed::{canonical_system_state_with, permute_system_state, permute_task};
 use system::process::ProcessAutomaton;
 use system::Task;
 
@@ -191,18 +189,14 @@ impl<'a, P: ProcessAutomaton> SystemGraph<'a, P> {
     /// quotient, every non-root id is an orbit *representative* and
     /// each edge's task label is relative to that representative, so
     /// the quotient path is not itself an execution. The lift walks
-    /// the path tracking the accumulated canonicalizing group element
-    /// `(τ, ν)` (invariant: `τ · ν · concrete = representative`, where
-    /// `ν` is the value relabeling — always the identity in a plain
-    /// `S_n` quotient), conjugates each edge task back through `τ⁻¹`
-    /// (tasks carry no consensus values, so `ν` never touches them),
-    /// and steps the concrete system, picking the successor whose
-    /// canonical image matches the path; each step composes the new
-    /// canonicalizing permutation onto `τ` and the new value twist
-    /// onto `ν`. Orbit-invariant atoms (valence, decisions, safety,
-    /// failure counts) therefore hold along the lifted execution
-    /// exactly as they did on the quotient path, up to the `ν`
-    /// relabeling of decision values.
+    /// the path tracking the accumulated canonicalizing permutation `τ`
+    /// (invariant: `τ · concrete = representative`), conjugates each
+    /// edge task back through `τ⁻¹`, and steps the concrete system,
+    /// picking the successor whose canonical image matches the path;
+    /// each step composes the new canonicalizing permutation onto `τ`.
+    /// Orbit-invariant atoms (valence, decisions, safety, failure
+    /// counts) therefore hold along the lifted execution exactly as
+    /// they did on the quotient path.
     ///
     /// # Panics
     ///
@@ -221,10 +215,9 @@ impl<'a, P: ProcessAutomaton> SystemGraph<'a, P> {
             return (states, tasks);
         };
         // Roots are interned raw (never canonicalized), so the walk
-        // starts concrete with (τ, ν) = identity.
+        // starts concrete with τ = identity.
         let mut concrete = self.map.resolve(*first).clone();
         let mut tau = Perm::identity(self.sys.process_count());
-        let mut nu = ValuePerm::Id;
         states.push(concrete.clone());
         for w in path.windows(2) {
             let rep_task = self
@@ -240,22 +233,20 @@ impl<'a, P: ProcessAutomaton> SystemGraph<'a, P> {
             // representative continues the quotient path (equivariance
             // guarantees at least one exists; task nondeterminism can
             // offer several concrete candidates). The candidate's image
-            // under the accumulated (τ, ν) is the representative's own
-            // successor — σ and ν act on disjoint data, so application
-            // order is immaterial — and its canonicalization hands
-            // back the step's incremental group element.
-            let (next, sigma, mu) = self
+            // under the accumulated τ is the representative's own
+            // successor, and its canonicalization hands back the
+            // step's incremental permutation.
+            let (next, sigma) = self
                 .sys
                 .succ_all(&concrete_task, &concrete)
                 .into_iter()
                 .find_map(|(_, cand)| {
-                    let lifted = permute_system_state(&tau, &relabel_system_state(nu, &cand));
-                    let (rep, sigma, mu) = canonical_system_state_with(group, &lifted);
-                    (&rep == next_rep).then_some((cand, sigma, mu))
+                    let lifted = permute_system_state(&tau, &cand);
+                    let (rep, sigma) = canonical_system_state_with(group, &lifted);
+                    (&rep == next_rep).then_some((cand, sigma))
                 })
                 .expect("a concrete successor must continue the quotient path");
             tau = sigma.compose(&tau);
-            nu = mu.compose(nu);
             tasks.push(concrete_task);
             concrete = next;
             states.push(concrete.clone());

@@ -16,15 +16,14 @@
 //! the `G(C)` census, the witness safety scan — shares this one graph
 //! instead of re-hashing and re-cloning full `SystemState`s.
 
-use ioa::automaton::Automaton;
 use ioa::canon::{SymGroup, SymmetryMode};
 use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph, FrontierMode};
 use ioa::store::{fx_hash, StateId, StateStore};
 use ioa::Csr;
-use spec::{RelabelValues, Val, ValuePerm};
-use std::collections::{BTreeSet, VecDeque};
+use spec::Val;
+use std::collections::BTreeSet;
 use system::build::{CompleteSystem, SystemState};
-use system::packed::{canonical_system_state_with, PackedSystem};
+use system::packed::{canonical_system_state, PackedSystem};
 use system::process::ProcessAutomaton;
 use system::{Action, Task};
 
@@ -137,13 +136,6 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     /// non-root state in the map is an orbit representative, and
     /// lookups canonicalize their argument on a raw miss.
     sym: Option<SymGroup>,
-    /// `decided` with every value relabeled by [`ValuePerm::Swap`] —
-    /// present exactly when the quotient composed the value relabeling
-    /// group. A concrete state whose canonicalization swapped 0 ↔ 1
-    /// answers out of this table: if `rep = σ·ν·s` then the decisions
-    /// reachable from `s` are `ν` applied to those reachable from
-    /// `rep`.
-    decided_swapped: Option<Vec<BTreeSet<Val>>>,
 }
 
 impl<P: ProcessAutomaton> ValenceMap<P> {
@@ -276,52 +268,6 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         }
         let parts = graph.into_parts();
 
-        // Per-edge value twists, present exactly when the quotient
-        // composed the 0 ↔ 1 relabeling (`SymmetryMode::Values`). The
-        // explorer canonicalizes successors without recording which
-        // group element did it, so each edge's value component is
-        // re-derived by re-expanding every source against the now-warm
-        // effect cache in exactly the explorer's (task order, branch
-        // order) discipline, including its two-stage self-loop pruning.
-        // `twists[k] = true` for flat-arena edge `k` means the edge's
-        // concrete successor canonicalized through `ValuePerm::Swap`:
-        // if `rep' = σ·ν·s'` then the decisions reachable from the
-        // concrete successor `s'` are `ν` applied to those of `rep'`,
-        // so the backward fixpoint below must pull each edge's
-        // contribution back through its twist.
-        let twists: Option<Vec<bool>> = match packed.symmetry_group() {
-            Some(g) if g.values => {
-                let tasks = Automaton::tasks(packed);
-                let mut twists = Vec::new();
-                for (idx, ps) in parts.store.states().iter().enumerate() {
-                    let row = parts.edges.row(idx);
-                    let mut k = 0usize;
-                    for t in &tasks {
-                        for (_, s2) in Automaton::succ_all(packed, t, ps) {
-                            if &s2 == ps {
-                                continue;
-                            }
-                            let (rep, _, nu) = packed.canonical_with_sym(&s2);
-                            if &rep == ps {
-                                continue;
-                            }
-                            debug_assert_eq!(&row[k].0, t, "re-expansion must mirror the explorer");
-                            debug_assert_eq!(
-                                parts.store.get(&rep),
-                                Some(row[k].2),
-                                "re-expansion must rediscover the recorded successor"
-                            );
-                            twists.push(!nu.is_identity());
-                            k += 1;
-                        }
-                    }
-                    debug_assert_eq!(k, row.len(), "edge rows must be re-derived exactly");
-                }
-                Some(twists)
-            }
-            _ => None,
-        };
-
         // Decode each packed state back into the deep representation,
         // in id order: interning in insertion order reproduces the
         // packed ids exactly (the encoding is injective, so every
@@ -355,18 +301,12 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             .ids()
             .map(|id| sys.decided_values(store.resolve(id)))
             .collect();
-        let mut uni: BTreeSet<Val> = own.iter().flat_map(|d| d.iter().cloned()).collect();
-        if twists.is_some() {
-            // The twisted fixpoint maps masks through ν, so the lane
-            // universe must be ν-closed (Swap is an involution: one
-            // closure pass suffices).
-            let images: Vec<Val> = uni
-                .iter()
-                .map(|v| v.relabel_values(ValuePerm::Swap))
-                .collect();
-            uni.extend(images);
-        }
-        let universe: Vec<Val> = uni.into_iter().collect();
+        let universe: Vec<Val> = own
+            .iter()
+            .flat_map(|d| d.iter().cloned())
+            .collect::<BTreeSet<Val>>()
+            .into_iter()
+            .collect();
         assert!(
             universe.len() <= ioa::fixpoint::MAX_LANES,
             "decision-value universe exceeds {} bit lanes",
@@ -380,66 +320,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
                 })
             })
             .collect();
-        match &twists {
-            None => ioa::fixpoint::backward_union(&preds, &mut masks),
-            Some(tw) => {
-                // ν-twisted backward fixpoint:
-                //   D(r) = own(r) ∪ ⋃_{edges e: r → r'} ν_e(D(r')).
-                // The untwisted bit-lane engine cannot express the
-                // per-edge lane permutation, so the twisted quotient
-                // runs a hand-rolled worklist over a reverse adjacency
-                // that carries each edge's twist bit. Set union is
-                // confluent and ν is a lane bijection, so the least
-                // fixpoint is reached regardless of processing order.
-                let swap_lane: Vec<usize> = universe
-                    .iter()
-                    .map(|v| {
-                        universe
-                            .binary_search(&v.relabel_values(ValuePerm::Swap))
-                            .expect("decision universe is ν-closed")
-                    })
-                    .collect();
-                let swap_mask = |m: u64| -> u64 {
-                    let mut out = 0u64;
-                    for (j, &sj) in swap_lane.iter().enumerate() {
-                        if m & (1 << j) != 0 {
-                            out |= 1 << sj;
-                        }
-                    }
-                    out
-                };
-                let n = masks.len();
-                let mut rev: Vec<Vec<(u32, bool)>> = vec![Vec::new(); n];
-                let mut k = 0usize;
-                for u in 0..n {
-                    for (_, _, v) in edges.row(u) {
-                        rev[v.index()].push((u as u32, tw[k]));
-                        k += 1;
-                    }
-                }
-                debug_assert_eq!(k, tw.len(), "one twist per flat-arena edge");
-                let mut queue: VecDeque<usize> = (0..n).collect();
-                let mut queued = vec![true; n];
-                while let Some(v) = queue.pop_front() {
-                    queued[v] = false;
-                    let m = masks[v];
-                    if m == 0 {
-                        continue;
-                    }
-                    for &(u, sw) in &rev[v] {
-                        let contrib = if sw { swap_mask(m) } else { m };
-                        let u = u as usize;
-                        if masks[u] | contrib != masks[u] {
-                            masks[u] |= contrib;
-                            if !queued[u] {
-                                queued[u] = true;
-                                queue.push_back(u);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        ioa::fixpoint::backward_union(&preds, &mut masks);
         let decided: Vec<BTreeSet<Val>> = masks
             .iter()
             .map(|m| {
@@ -453,16 +334,6 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             .collect();
 
         let valence = decided.iter().map(classify).collect();
-        let decided_swapped = twists.as_ref().map(|_| {
-            decided
-                .iter()
-                .map(|d| {
-                    d.iter()
-                        .map(|v| v.relabel_values(ValuePerm::Swap))
-                        .collect()
-                })
-                .collect()
-        });
         Ok(ValenceMap {
             store,
             root,
@@ -473,7 +344,6 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             decided,
             valence,
             sym: packed.symmetry_group(),
-            decided_swapped,
         })
     }
 
@@ -506,8 +376,8 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// `(peak_interned_states, arena_bytes)`. The state store only ever
     /// grows, so the final count *is* the peak. Bytes sum the inline
     /// sizes of every retained arena — state headers, both CSR edge
-    /// arenas, the BFS tree, the valence array, the decision tables
-    /// (and their relabeled twin under a value quotient). Heap owned
+    /// arenas, the BFS tree, the valence array and the decision table.
+    /// Heap owned
     /// *behind* component states (service buffers, deep `Val`s) is
     /// deliberately not traversed: the figure is a stable, allocator-
     /// independent lower bound for regression tracking, not an RSS
@@ -515,17 +385,16 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     #[must_use]
     pub fn footprint(&self) -> (u64, u64) {
         use std::mem::size_of;
-        let decided_bytes =
-            |d: &[BTreeSet<Val>]| d.iter().map(|s| s.len() * size_of::<Val>()).sum::<usize>();
-        let mut bytes = self.state_count() * size_of::<SystemState<P::State>>()
+        let bytes = self.state_count() * size_of::<SystemState<P::State>>()
             + self.edges.entry_count() * size_of::<(Task, Action, StateId)>()
             + self.preds.entry_count() * size_of::<StateId>()
             + self.parent.len() * size_of::<Option<(StateId, Task, Action)>>()
             + self.valence.len() * size_of::<Valence>()
-            + decided_bytes(&self.decided);
-        if let Some(swapped) = &self.decided_swapped {
-            bytes += decided_bytes(swapped);
-        }
+            + self
+                .decided
+                .iter()
+                .map(|d| d.len() * size_of::<Val>())
+                .sum::<usize>();
         (self.state_count() as u64, bytes as u64)
     }
 
@@ -556,21 +425,11 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// root) falls back to the orbit representative, so any concrete
     /// state whose orbit was explored resolves.
     pub fn id_of(&self, s: &SystemState<P::State>) -> Option<StateId> {
-        self.lookup(s).map(|(id, _)| id)
-    }
-
-    /// Resolves `s` to its interned id plus the value twist relating
-    /// the two: `rep = σ·ν·s` for the returned `ν`, so every
-    /// value-dependent answer read off the representative must be
-    /// mapped back through `ν`. Raw hits (the non-canonical root, and
-    /// every state of a concrete map) answer with the identity.
-    fn lookup(&self, s: &SystemState<P::State>) -> Option<(StateId, ValuePerm)> {
         if let Some(id) = self.store.get(s) {
-            return Some((id, ValuePerm::Id));
+            return Some(id);
         }
         let group = self.sym?;
-        let (rep, _, nu) = canonical_system_state_with(group, s);
-        Some((self.store.get(&rep)?, nu))
+        self.store.get(&canonical_system_state(group, s))
     }
 
     /// Resolve an id back to its state.
@@ -579,33 +438,19 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.store.resolve(id)
     }
 
-    fn require(&self, s: &SystemState<P::State>) -> (StateId, ValuePerm) {
-        self.lookup(s)
+    fn require(&self, s: &SystemState<P::State>) -> StateId {
+        self.id_of(s)
             .unwrap_or_else(|| panic!("state not in the explored space"))
     }
 
     /// The decision values reachable failure-free from `s`.
-    ///
-    /// In a value-composed quotient, a state whose canonicalization
-    /// swapped 0 ↔ 1 answers out of the pre-relabeled table: the
-    /// decisions reachable from `s` are `ν` applied to those reachable
-    /// from its representative.
     ///
     /// # Panics
     ///
     /// Panics if `s` is not in the explored space (check with
     /// [`ValenceMap::contains`]).
     pub fn reachable_decisions(&self, s: &SystemState<P::State>) -> &BTreeSet<Val> {
-        let (id, nu) = self.require(s);
-        if nu.is_identity() {
-            self.reachable_decisions_id(id)
-        } else {
-            let swapped = self
-                .decided_swapped
-                .as_ref()
-                .expect("swap lookups only occur in value-composed quotients");
-            &swapped[id.index()]
-        }
+        self.reachable_decisions_id(self.require(s))
     }
 
     /// The decision values reachable failure-free from `id`.
@@ -614,26 +459,13 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         &self.decided[id.index()]
     }
 
-    /// The valence of `s` (Section 3.2). In a value-composed quotient
-    /// the representative's valence is mapped back through the lookup's
-    /// value twist: 0-valent and 1-valent exchange under `ν = Swap`,
-    /// bivalent and undecided are `ν`-invariant.
+    /// The valence of `s` (Section 3.2).
     ///
     /// # Panics
     ///
     /// Panics if `s` is not in the explored space.
     pub fn valence(&self, s: &SystemState<P::State>) -> Valence {
-        let (id, nu) = self.require(s);
-        let v = self.valence_id(id);
-        if nu.is_identity() {
-            v
-        } else {
-            match v {
-                Valence::Zero => Valence::One,
-                Valence::One => Valence::Zero,
-                other => other,
-            }
-        }
+        self.valence_id(self.require(s))
     }
 
     /// The valence of `id` (Section 3.2) — O(1) array access.

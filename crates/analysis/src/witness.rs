@@ -5,10 +5,12 @@
 //! consensus over `f`-resilient services, [`find_witness`] reproduces
 //! the proof of the matching theorem on that concrete candidate:
 //!
-//! 1. exhaustively model-check failure-free safety (agreement,
-//!    validity) from every monotone initialization;
-//! 2. find a bivalent initialization (Lemma 4) — or, if all are
-//!    univalent, take the adjacent flip pair its proof uses;
+//! 1. walk the monotone initializations `α_0, …, α_n` once: build each
+//!    root's valence map, exhaustively model-check failure-free safety
+//!    (agreement, validity) on it, and record the root's valence;
+//! 2. apply Lemma 4's rules to those valences: the first bivalent
+//!    initialization (its map is rebuilt for the next stage) — or, if
+//!    all are univalent, the adjacent flip pair its proof uses;
 //! 3. run the Fig. 3 construction to a hook (Lemma 5);
 //! 4. run the Lemma 8 case analysis to locate the j-/k-similar pair
 //!    with opposite valences;
@@ -22,7 +24,7 @@
 //! paper's three service classes.
 
 use crate::hook::{find_hook, Hook, HookOutcome};
-use crate::init::{find_bivalent_init_sym, InitOutcome};
+use crate::init::Lemma4;
 use crate::prop;
 use crate::similarity::{
     analyze_hook, refute_adjacent_pair, refute_similar_pair, HookSimilarity, Refutation,
@@ -263,35 +265,37 @@ pub fn find_witness<P: ProcessAutomaton>(
     bounds: Bounds,
 ) -> Result<ImpossibilityWitness<P>, WitnessError> {
     let n = sys.process_count();
-
-    // Stage 1: failure-free safety over every monotone initialization.
-    // The scan checks validity against each concrete assignment — an
-    // observation the 0 ↔ 1 relabeling does *not* preserve (a rep
-    // deciding 1 may stand for a concrete state deciding 0), so the
-    // scan quotients only by the value-blind part of the requested
-    // group. Stages 2–5 are relabeling-invariant and keep the full
-    // composed quotient.
-    for ones in 0..=n {
-        let assignment = InputAssignment::monotone(n, ones);
-        let root = initialize(sys, &assignment);
-        let map = ValenceMap::build_with_symmetry(
+    let build = |assignment: &InputAssignment| {
+        ValenceMap::build_with_symmetry(
             sys,
-            root,
+            initialize(sys, assignment),
             bounds.max_states,
             bounds.threads,
-            bounds.symmetry.value_blind(),
-        )?;
+            bounds.symmetry,
+        )
+    };
+
+    // Stages 1–2: one walk over α_0, …, α_n. Each root's map is built
+    // once, safety-scanned and asked for the root's valence, then
+    // dropped before the next build, so at most one map is alive. A
+    // safety violation at any root wins over every Lemma 4 outcome.
+    let mut valences = Vec::with_capacity(n + 1);
+    for ones in 0..=n {
+        let assignment = InputAssignment::monotone(n, ones);
+        let map = build(&assignment)?;
         if let Some(violation) = safety_scan(sys, &assignment, &map) {
             return Ok(ImpossibilityWitness::Safety {
                 assignment,
                 violation,
             });
         }
+        valences.push(map.valence_id(map.root_id()));
     }
 
-    // Stage 2: Lemma 4.
-    match find_bivalent_init_sym(sys, bounds.max_states, bounds.threads, bounds.symmetry)? {
-        InitOutcome::Bivalent { assignment, map } => {
+    match Lemma4::of(&valences) {
+        Lemma4::Bivalent(ones) => {
+            let assignment = InputAssignment::monotone(n, ones);
+            let map = build(&assignment)?;
             // Stage 3: Lemma 5 / Fig. 3.
             match find_hook(sys, &map, bounds.max_hook_iterations) {
                 HookOutcome::Hook(hook) => {
@@ -341,11 +345,10 @@ pub fn find_witness<P: ProcessAutomaton>(
                 }
             }
         }
-        InitOutcome::AdjacentContradiction {
-            zero,
-            one,
-            differing,
-        } => {
+        Lemma4::Adjacent(flip) => {
+            let zero = InputAssignment::monotone(n, flip);
+            let one = InputAssignment::monotone(n, flip + 1);
+            let differing = ProcId(flip);
             let refutation =
                 refute_adjacent_pair(sys, &zero, &one, differing, f, bounds.max_run_steps);
             Ok(ImpossibilityWitness::AdjacentRefutation {
@@ -355,28 +358,15 @@ pub fn find_witness<P: ProcessAutomaton>(
                 refutation,
             })
         }
-        InitOutcome::Undecided { assignment } => {
-            Ok(ImpossibilityWitness::FailureFreeNonTermination { assignment })
-        }
-        InitOutcome::ValidityBroken { assignment, .. } => {
-            let root = initialize(sys, &assignment);
-            let map = ValenceMap::build_with_symmetry(
-                sys,
-                root,
-                bounds.max_states,
-                bounds.threads,
-                bounds.symmetry,
-            )?;
-            let violation = safety_scan(sys, &assignment, &map).ok_or_else(|| {
-                WitnessError::Inconclusive(
-                    "valence says validity broken but no state violates it".into(),
-                )
-            })?;
-            Ok(ImpossibilityWitness::Safety {
-                assignment,
-                violation,
-            })
-        }
+        Lemma4::Undecided(ones) => Ok(ImpossibilityWitness::FailureFreeNonTermination {
+            assignment: InputAssignment::monotone(n, ones),
+        }),
+        // A unanimous root of the wrong valence reaches a decision no
+        // process proposed, which the clean safety scan of that same
+        // map rules out.
+        Lemma4::ValidityBroken(..) => Err(WitnessError::Inconclusive(
+            "valence says validity broken but no state violates it".into(),
+        )),
     }
 }
 

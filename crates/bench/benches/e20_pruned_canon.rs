@@ -1,17 +1,14 @@
-//! E20 — pruned canonicalization and the composed value quotient.
+//! E20 — pruned canonicalization.
 //!
 //! Regenerates: the `ValenceMap` build cost of the doomed-atomic
 //! substrate under the signature-sort canonicalizer (DESIGN §2.1.6),
-//! which replaced E17's all-permutations orbit probe. Three variants
-//! per scale:
+//! which replaced E17's all-permutations orbit probe. Two variants per
+//! scale:
 //!
 //! * `full` — symmetry off, the exact reachable graph (reference);
-//! * `quotient` — the plain `S_n` orbit quotient, now canonicalized by
-//!   one stable sort over full local-view signatures instead of an
-//!   `n!`-sweep over `Perm::all`;
-//! * `values` — the composed `S_n × S_vals` quotient (the 0 ↔ 1 value
-//!   relabeling on top), including the ν-twisted backward valence
-//!   fixpoint.
+//! * `quotient` — the `S_n` orbit quotient, canonicalized by one stable
+//!   sort over full local-view signatures instead of an `n!`-sweep
+//!   over `Perm::all`.
 //!
 //! The headline scale is `n = 5, f = 3`: 120 permutations per interned
 //! state under the old probe, a five-element sort under the new one —
@@ -51,7 +48,6 @@ fn main() {
         for (variant, mode) in [
             ("full", SymmetryMode::Off),
             ("quotient", SymmetryMode::Full),
-            ("values", SymmetryMode::Values),
         ] {
             let probe = ValenceMap::build_with_symmetry(&sys, root.clone(), 5_000_000, 1, mode)
                 .expect("doomed-atomic scales fit the default budget");

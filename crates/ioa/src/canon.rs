@@ -18,6 +18,7 @@
 //! nothing in this module depends on hashing or allocation order.
 
 use std::env;
+use std::sync::Once;
 
 /// Environment variable read by [`SymmetryMode::from_env`].
 pub const SYMMETRY_ENV: &str = "SYMMETRY";
@@ -27,91 +28,67 @@ pub const SYMMETRY_ENV: &str = "SYMMETRY";
 ///
 /// `Full` asks every layer (explorer, packed system, valence map,
 /// witness pipeline) to canonicalize successor states to orbit
-/// representatives under process-id permutation (`S_n`); `Values`
-/// additionally composes the consensus-value relabeling group
-/// (`S_n × S_vals`, the 0 ↔ 1 swap); `Off` (the default) explores the
-/// concrete space. Automata that declare no (or less) symmetry treat
-/// the stronger modes as the strongest one they support, so every mode
-/// is always safe to enable.
+/// representatives under process-id permutation (`S_n`); `Off` (the
+/// default) explores the concrete space. Automata that declare no
+/// symmetry treat `Full` as `Off`, so the quotient is always safe to
+/// enable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SymmetryMode {
     /// Canonicalize every interned successor to its orbit
     /// representative under process-id permutation.
     Full,
-    /// Canonicalize under the composed `S_n × S_vals` group: process-id
-    /// permutation plus the 0 ↔ 1 consensus-value relabeling (gated on
-    /// the substrate's `value_symmetric` contracts; degrades to
-    /// [`SymmetryMode::Full`] behavior when they are absent).
-    Values,
     /// Explore the concrete (non-quotiented) state space.
     #[default]
     Off,
 }
 
 impl SymmetryMode {
-    /// Reads the mode from the `SYMMETRY` environment variable:
-    /// `full` or `values` (case-insensitive) enable the corresponding
-    /// quotient, anything else — including unset — is
-    /// [`SymmetryMode::Off`].
+    /// Reads the mode from the `SYMMETRY` environment variable: `full`
+    /// (case-insensitive) enables the quotient; `off` or unset is
+    /// [`SymmetryMode::Off`]. Any other non-empty value also means
+    /// `Off`, and the first such read in a process says so in one line
+    /// on stderr, so a stale setting never drops the quotient
+    /// silently.
     pub fn from_env() -> SymmetryMode {
         match env::var(SYMMETRY_ENV) {
             Ok(v) if v.eq_ignore_ascii_case("full") => SymmetryMode::Full,
-            Ok(v) if v.eq_ignore_ascii_case("values") => SymmetryMode::Values,
+            Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("off") => {
+                static WARNED: Once = Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "warning: {SYMMETRY_ENV}={v:?} is not full|off; \
+                         exploring with {SYMMETRY_ENV}=off"
+                    );
+                });
+                SymmetryMode::Off
+            }
             _ => SymmetryMode::Off,
         }
     }
 
-    /// Whether the quotient is enabled at all (process-id permutation,
-    /// with or without the composed value relabeling).
+    /// Whether the process-id quotient is enabled.
     pub fn reduces(self) -> bool {
-        !matches!(self, SymmetryMode::Off)
+        self == SymmetryMode::Full
     }
 
-    /// Whether the quotient is enabled. Kept as the historical name of
-    /// [`SymmetryMode::reduces`]; `Values` implies `Full`'s process-id
-    /// quotient, so both reducing modes answer `true`.
-    pub fn is_full(self) -> bool {
-        self.reduces()
-    }
-
-    /// Whether the composed value relabeling is requested on top of the
-    /// process-id quotient.
-    pub fn wants_values(self) -> bool {
-        matches!(self, SymmetryMode::Values)
-    }
-
-    /// This mode with the value group stripped: `Values` steps down to
-    /// `Full`, everything else is unchanged.
-    ///
-    /// Quotienting is only sound for observations invariant under the
-    /// group quotiented by. Process-id permutation is invisible to
-    /// every observation the pipeline makes, but the 0 ↔ 1 relabeling
-    /// is *not* value-blind — validity against a fixed input assignment
-    /// distinguishes a state from its mirror — so passes that check
-    /// value-naming predicates over raw interned states (the safety
-    /// scan) drop to this mode.
+    /// This mode, unchanged. The process-id group is invisible to
+    /// every observation the pipeline makes, so every pass may use the
+    /// requested mode as is; the function remains as the identity for
+    /// callers written against an earlier, value-relabeling group.
     #[must_use]
     pub fn value_blind(self) -> SymmetryMode {
-        match self {
-            SymmetryMode::Values => SymmetryMode::Full,
-            other => other,
-        }
+        self
     }
 }
 
 /// A compact descriptor of the symmetry group a quotient graph was
-/// built under: process-id permutations of `0..n`, optionally composed
-/// with the consensus-value relabeling group. Replaces the materialized
-/// `Vec<Perm>` the brute-force canonicalizer used to carry — the
+/// built under: the process-id permutations of `0..n`. The
 /// signature-sort canonical form (DESIGN §2.1.6) never enumerates the
 /// group, so the descriptor is all downstream layers need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SymGroup {
     /// The permuted index-set size `n` (the process count).
     pub n: usize,
-    /// Whether the 0 ↔ 1 value relabeling is composed in
-    /// (`S_n × S_vals` instead of `S_n`).
-    pub values: bool,
 }
 
 /// A permutation `π` of `0..n`, stored in one-line notation:
@@ -351,20 +328,10 @@ mod tests {
 
     #[test]
     fn from_env_parses_full() {
-        // Only exercises the parsing contract indirectly via default.
         assert_eq!(SymmetryMode::default(), SymmetryMode::Off);
-        assert!(SymmetryMode::Full.is_full());
-        assert!(!SymmetryMode::Off.is_full());
-    }
-
-    #[test]
-    fn values_mode_reduces_and_wants_values() {
-        assert!(SymmetryMode::Values.reduces());
-        assert!(SymmetryMode::Values.is_full());
-        assert!(SymmetryMode::Values.wants_values());
         assert!(SymmetryMode::Full.reduces());
-        assert!(!SymmetryMode::Full.wants_values());
         assert!(!SymmetryMode::Off.reduces());
-        assert!(!SymmetryMode::Off.wants_values());
+        assert_eq!(SymmetryMode::Full.value_blind(), SymmetryMode::Full);
+        assert_eq!(SymmetryMode::Off.value_blind(), SymmetryMode::Off);
     }
 }

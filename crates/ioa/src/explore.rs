@@ -520,7 +520,7 @@ fn expand_one<A: Automaton>(
     cache: &mut CacheStats,
 ) -> Vec<Found<A>> {
     let s = store.resolve(id);
-    let canon = opts.symmetry.is_full();
+    let canon = opts.symmetry.reduces();
     let mut out = Vec::new();
     for t in tasks {
         for (a, s2) in aut.succ_counted(t, s, cache) {
@@ -605,7 +605,7 @@ impl<A: Automaton> Builder<A> {
     /// merged at a time.
     fn expand_sequential(&mut self, aut: &A, opts: ExploreOptions) {
         let tasks = aut.tasks();
-        let canon = opts.symmetry.is_full();
+        let canon = opts.symmetry.reduces();
         while let Some(id) = self.queue.pop_front() {
             self.peak_frontier = self.peak_frontier.max(self.queue.len() + 1);
             // Collect successors under an immutable borrow of the
@@ -889,7 +889,7 @@ mod worksteal {
     ) -> ExploredGraph<A> {
         let track_cache = aut.cache_stats().is_some();
         let tasks = aut.tasks();
-        let canon = opts.symmetry.is_full();
+        let canon = opts.symmetry.reduces();
         let workers = threads.max(1);
         let store: ShardedStore<A::State> = ShardedStore::new(workers * 4);
 

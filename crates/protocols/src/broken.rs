@@ -15,11 +15,7 @@
 //! * [`overlapping_tasks`] — a bare automaton whose declared tasks do
 //!   not partition its actions (rule `task-partition`): a duplicate
 //!   task, an action emitted by two tasks, and a vocabulary action
-//!   owned by a task `tasks()` never declares;
-//! * [`value_biased`] — a process family that *claims*
-//!   `value_symmetric` while sticking every input to `0` (rule
-//!   `value-symmetry`): the flag that would let the composed
-//!   `S_n × S_vals` quotient merge 0-deciding and 1-deciding futures.
+//!   owned by a task `tasks()` never declares.
 //!
 //! None of these call [`crate::contract_check`] — being constructible
 //! is their job; being *caught* is the auditor's, pinned by
@@ -227,73 +223,4 @@ impl Automaton for OverlappingTasks {
 #[must_use]
 pub fn overlapping_tasks() -> OverlappingTasks {
     OverlappingTasks
-}
-
-/// A direct-consensus family that claims [`value_symmetric`] while
-/// quietly sticking every input to `0`.
-///
-/// This is precisely the lie the composed `S_n × S_vals` quotient
-/// cannot survive: relabeling 0 ↔ 1 no longer commutes with `on_init`
-/// (the relabeled input `1` is forced to `0`, but the relabeled image
-/// of the original transition holds `1`), so value-orbit
-/// representatives would conflate states whose futures decide
-/// *different* values. The `value-symmetry` rule catches it
-/// component-locally on the `Idle` state, and
-/// `analysis::audit::effective_symmetry` degrades `SYMMETRY=values` to
-/// `full` for this system — the honest process-id quotient survives.
-///
-/// [`value_symmetric`]: ProcessAutomaton::value_symmetric
-#[derive(Clone, Debug)]
-pub struct StickyZeroDirect {
-    inner: DirectConsensus,
-}
-
-impl ProcessAutomaton for StickyZeroDirect {
-    type State = Phase;
-
-    fn initial(&self, i: ProcId) -> Phase {
-        self.inner.initial(i)
-    }
-
-    fn on_init(&self, i: ProcId, st: &Phase, _v: &Val) -> Phase {
-        // The lie: every input is silently replaced by 0.
-        self.inner.on_init(i, st, &Val::Int(0))
-    }
-
-    fn on_response(&self, i: ProcId, st: &Phase, c: SvcId, resp: &Resp) -> Phase {
-        self.inner.on_response(i, st, c, resp)
-    }
-
-    fn step(&self, i: ProcId, st: &Phase) -> (ProcAction, Phase) {
-        self.inner.step(i, st)
-    }
-
-    fn decision(&self, st: &Phase) -> Option<Val> {
-        self.inner.decision(st)
-    }
-
-    fn id_symmetric(&self) -> bool {
-        // Honest: every process sticks to 0 identically.
-        true
-    }
-
-    fn value_symmetric(&self) -> bool {
-        // False claim: on_init collapses 0 and 1.
-        true
-    }
-}
-
-/// The value-biased candidate: [`StickyZeroDirect`] over a single
-/// honest (value-symmetric) `f`-resilient binary consensus object.
-#[must_use]
-pub fn value_biased(n: usize, f: usize) -> CompleteSystem<StickyZeroDirect> {
-    let endpoints: Vec<ProcId> = (0..n).map(ProcId).collect();
-    let obj = CanonicalAtomicObject::new(Arc::new(BinaryConsensus), endpoints, f);
-    CompleteSystem::new(
-        StickyZeroDirect {
-            inner: DirectConsensus::new(SvcId(0)),
-        },
-        n,
-        vec![Arc::new(obj)],
-    )
 }

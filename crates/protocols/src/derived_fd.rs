@@ -70,15 +70,6 @@ pub struct FdState {
     pub phase: Phase,
 }
 
-impl spec::RelabelValues for FdState {
-    /// The failure-detector state carries process identities only — no
-    /// consensus values anywhere — so the structural relabeling is the
-    /// identity.
-    fn relabel_values(&self, _vp: spec::ValuePerm) -> FdState {
-        self.clone()
-    }
-}
-
 /// The union-construction process: implements endpoint `i` of a
 /// wait-free `n`-process perfect failure detector.
 #[derive(Clone, Debug)]

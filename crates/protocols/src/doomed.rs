@@ -58,22 +58,6 @@ pub enum RegPhase {
     Decided(Val),
 }
 
-impl spec::RelabelValues for RegPhase {
-    /// Structural 0 ↔ 1 relabeling: the carried value is relabeled,
-    /// the phase tag is not.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> RegPhase {
-        match self {
-            RegPhase::Idle => RegPhase::Idle,
-            RegPhase::Waiting => RegPhase::Waiting,
-            RegPhase::Publishing(v) => RegPhase::Publishing(v.relabel_values(vp)),
-            RegPhase::AwaitAck(v) => RegPhase::AwaitAck(v.relabel_values(vp)),
-            RegPhase::Proposing(v) => RegPhase::Proposing(v.relabel_values(vp)),
-            RegPhase::Responding(v) => RegPhase::Responding(v.relabel_values(vp)),
-            RegPhase::Decided(v) => RegPhase::Decided(v.relabel_values(vp)),
-        }
-    }
-}
-
 /// Theorem 2's richer candidate: each process first publishes its
 /// input in a dedicated reliable register, then runs the direct
 /// protocol over the shared `f`-resilient consensus object — the shape
@@ -201,22 +185,6 @@ pub struct TobState {
     pub first: Option<Val>,
 }
 
-impl spec::RelabelValues for TobState {
-    /// Structural 0 ↔ 1 relabeling of the held input/decision and the
-    /// first ordered message.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> TobState {
-        TobState {
-            phase: match &self.phase {
-                TobPhase::Idle => TobPhase::Idle,
-                TobPhase::AwaitDelivery => TobPhase::AwaitDelivery,
-                TobPhase::HasInput(v) => TobPhase::HasInput(v.relabel_values(vp)),
-                TobPhase::Decided(v) => TobPhase::Decided(v.relabel_values(vp)),
-            },
-            first: self.first.relabel_values(vp),
-        }
-    }
-}
-
 /// Theorem 9's candidate: consensus over a single `f`-resilient
 /// totally ordered broadcast service. Every process broadcasts its
 /// input; the *first message in the total order* is everyone's
@@ -329,24 +297,6 @@ pub struct MixedState {
     pub phase: MixedPhase,
     /// First ordered message seen (tracked in every phase).
     pub first: Option<Val>,
-}
-
-impl spec::RelabelValues for MixedState {
-    /// Structural 0 ↔ 1 relabeling of every carried value.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> MixedState {
-        MixedState {
-            phase: match &self.phase {
-                MixedPhase::Idle => MixedPhase::Idle,
-                MixedPhase::AwaitOrder => MixedPhase::AwaitOrder,
-                MixedPhase::AwaitObject => MixedPhase::AwaitObject,
-                MixedPhase::HasInput(v) => MixedPhase::HasInput(v.relabel_values(vp)),
-                MixedPhase::Propose(v) => MixedPhase::Propose(v.relabel_values(vp)),
-                MixedPhase::Responding(v) => MixedPhase::Responding(v.relabel_values(vp)),
-                MixedPhase::Decided(v) => MixedPhase::Decided(v.relabel_values(vp)),
-            },
-            first: self.first.relabel_values(vp),
-        }
-    }
 }
 
 /// A two-stage candidate spanning TWO service classes at once: inputs

@@ -67,20 +67,6 @@ pub struct CoordState {
     pub decision: Option<Val>,
 }
 
-impl spec::RelabelValues for CoordState {
-    /// Structural 0 ↔ 1 relabeling of the estimate and the recorded
-    /// decision; rounds, suspicions and the phase carry no values.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> CoordState {
-        CoordState {
-            estimate: self.estimate.relabel_values(vp),
-            round: self.round,
-            suspected: self.suspected.clone(),
-            phase: self.phase.clone(),
-            decision: self.decision.relabel_values(vp),
-        }
-    }
-}
-
 impl CoordState {
     fn fresh() -> Self {
         CoordState {

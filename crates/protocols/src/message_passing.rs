@@ -40,24 +40,6 @@ pub struct FloodState {
     pub announced: bool,
 }
 
-impl spec::RelabelValues for FloodState {
-    /// Structural 0 ↔ 1 relabeling of the input, every heard value and
-    /// the recorded decision; sender identities are untouched.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> FloodState {
-        FloodState {
-            input: self.input.relabel_values(vp),
-            heard: self
-                .heard
-                .iter()
-                .map(|(i, v)| (*i, v.relabel_values(vp)))
-                .collect(),
-            next_send: self.next_send,
-            decision: self.decision.relabel_values(vp),
-            announced: self.announced,
-        }
-    }
-}
-
 /// The flooding consensus protocol over a full mesh of pairwise
 /// channels: send the input everywhere, collect all `n` values, decide
 /// the minimum.

@@ -45,20 +45,27 @@ impl SetBoostParams {
         self.n / self.groups()
     }
 
-    fn validate(&self) {
-        assert!(
-            self.k_prime >= 1 && self.k >= self.k_prime,
-            "need 1 ≤ k' ≤ k"
-        );
-        assert_eq!(self.k % self.k_prime, 0, "k' must divide k");
-        let g = self.groups();
-        assert!(
-            g >= 1 && self.n.is_multiple_of(g),
-            "the group count must divide n"
-        );
-        assert!(self.group_size() >= 1, "groups must be nonempty");
+    /// Checks the construction's side conditions: `1 ≤ k' ≤ k < n`,
+    /// `k' | k` and `(k/k') | n`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated condition.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.k_prime >= 1 && self.k >= self.k_prime) {
+            return Err("need 1 ≤ k' ≤ k");
+        }
+        if !self.k.is_multiple_of(self.k_prime) {
+            return Err("k' must divide k");
+        }
+        if !self.n.is_multiple_of(self.groups()) {
+            return Err("the group count must divide n");
+        }
         // The k-set-consensus side condition 0 < k < n.
-        assert!(self.k < self.n, "k-set-consensus needs k < n");
+        if self.k >= self.n {
+            return Err("k-set-consensus needs k < n");
+        }
+        Ok(())
     }
 }
 
@@ -75,19 +82,6 @@ pub enum Phase {
     Responding(Val),
     /// Decided `v`.
     Decided(Val),
-}
-
-impl spec::RelabelValues for Phase {
-    /// Structural 0 ↔ 1 relabeling of the carried value.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> Phase {
-        match self {
-            Phase::Idle => Phase::Idle,
-            Phase::Waiting => Phase::Waiting,
-            Phase::HasInput(v) => Phase::HasInput(v.relabel_values(vp)),
-            Phase::Responding(v) => Phase::Responding(v.relabel_values(vp)),
-            Phase::Decided(v) => Phase::Decided(v.relabel_values(vp)),
-        }
-    }
 }
 
 /// The Section 4 process: forward the input to the group's service,
@@ -163,7 +157,9 @@ impl ProcessAutomaton for GroupProcess {
 /// Panics if the parameters violate the construction's side conditions
 /// (`k' | k`, `(k/k') | n`, `k < n`).
 pub fn build(params: SetBoostParams) -> CompleteSystem<GroupProcess> {
-    params.validate();
+    if let Err(e) = params.check() {
+        panic!("{e}");
+    }
     let g = params.groups();
     let n_prime = params.group_size();
     let mut services: Vec<services::ArcService> = Vec::with_capacity(g);

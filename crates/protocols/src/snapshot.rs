@@ -59,22 +59,6 @@ pub struct SnapState {
     pub second: Vec<Val>,
 }
 
-impl spec::RelabelValues for SnapState {
-    /// Structural 0 ↔ 1 relabeling of the pending update value, the
-    /// returned vector and both collects.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> SnapState {
-        SnapState {
-            phase: match &self.phase {
-                Phase::Updating(v) => Phase::Updating(v.relabel_values(vp)),
-                Phase::Done(v) => Phase::Done(v.relabel_values(vp)),
-                other => other.clone(),
-            },
-            first: self.first.relabel_values(vp),
-            second: self.second.relabel_values(vp),
-        }
-    }
-}
-
 /// The double-collect snapshot protocol: process `i` owns register
 /// `i`; an `update(v)` input writes it, a `scan()` input runs double
 /// collects.

@@ -46,23 +46,6 @@ pub enum Phase {
     Decided(Val),
 }
 
-impl spec::RelabelValues for Phase {
-    /// Structural 0 ↔ 1 relabeling of every carried value.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> Phase {
-        match self {
-            Phase::Idle => Phase::Idle,
-            Phase::ReadWinner => Phase::ReadWinner,
-            Phase::AwaitWinner => Phase::AwaitWinner,
-            Phase::Publish(v) => Phase::Publish(v.relabel_values(vp)),
-            Phase::AwaitAck(v) => Phase::AwaitAck(v.relabel_values(vp)),
-            Phase::Race(v) => Phase::Race(v.relabel_values(vp)),
-            Phase::AwaitRace(v) => Phase::AwaitRace(v.relabel_values(vp)),
-            Phase::Responding(v) => Phase::Responding(v.relabel_values(vp)),
-            Phase::Decided(v) => Phase::Decided(v.relabel_values(vp)),
-        }
-    }
-}
-
 /// The test&set consensus protocol for two processes.
 ///
 /// Service layout: `regs[i]` is `P_i`'s input register; `tas` is the

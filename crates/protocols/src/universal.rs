@@ -54,27 +54,6 @@ pub struct UniState {
     pub my_op: Option<i64>,
 }
 
-impl spec::RelabelValues for UniState {
-    /// Structural 0 ↔ 1 relabeling: the replica value and any carried
-    /// response are relabeled; the slot counter and the *encoded*
-    /// pending operation (an opaque operation index, not a consensus
-    /// value) are not.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> UniState {
-        UniState {
-            phase: match &self.phase {
-                Phase::Idle => Phase::Idle,
-                Phase::Proposing => Phase::Proposing,
-                Phase::AwaitSlot => Phase::AwaitSlot,
-                Phase::Responding(v) => Phase::Responding(v.relabel_values(vp)),
-                Phase::Done(v) => Phase::Done(v.relabel_values(vp)),
-            },
-            slot: self.slot,
-            replica: self.replica.relabel_values(vp),
-            my_op: self.my_op,
-        }
-    }
-}
-
 /// The one-shot universal construction: `n` processes implement one
 /// wait-free atomic object of type `typ` from `n` wait-free consensus
 /// services (the log slots).

@@ -170,13 +170,6 @@ impl Service for CanonicalAtomicObject {
         // exactly that of the underlying sequential type.
         self.typ.proc_oblivious()
     }
-
-    fn value_symmetric(&self) -> bool {
-        // The canonical automaton only moves invocations/responses
-        // through buffers and applies δ — its value symmetry is exactly
-        // that of the underlying sequential type.
-        self.typ.value_symmetric()
-    }
 }
 
 #[cfg(test)]

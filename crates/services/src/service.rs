@@ -184,20 +184,6 @@ pub trait Service: fmt::Debug + Send + Sync {
     fn endpoint_symmetric(&self) -> bool {
         false
     }
-
-    /// Whether the service is *value-symmetric*: the structural 0 ↔ 1
-    /// consensus-value relabeling (`spec::RelabelValues` on
-    /// [`SvcState`]) commutes with every transition, because the
-    /// underlying sequential type carries values without inspecting
-    /// them asymmetrically. Together with
-    /// `ProcessAutomaton::value_symmetric` this gates the composed
-    /// `S_n × S_vals` quotient (`SymmetryMode::Values`); the claim is
-    /// audited by the `value-symmetry` rule in `analysis::audit`.
-    /// Defaults to `false` — an explicit opt-in, like
-    /// [`Service::endpoint_symmetric`].
-    fn value_symmetric(&self) -> bool {
-        false
-    }
 }
 
 /// A shared, dynamically typed canonical service.

@@ -199,31 +199,6 @@ impl SvcState {
     }
 }
 
-impl spec::RelabelValues for SvcState {
-    /// The structural 0 ↔ 1 relabeling: the stored value and every
-    /// buffered invocation/response are relabeled; endpoints and the
-    /// failed set (process identities, not consensus values) are not.
-    fn relabel_values(&self, vp: spec::ValuePerm) -> SvcState {
-        if vp.is_identity() {
-            return self.clone();
-        }
-        SvcState {
-            val: self.val.relabel_values(vp),
-            inv_buf: self
-                .inv_buf
-                .iter()
-                .map(|(i, q)| (*i, q.iter().map(|inv| inv.relabel_values(vp)).collect()))
-                .collect(),
-            resp_buf: self
-                .resp_buf
-                .iter()
-                .map(|(i, q)| (*i, q.iter().map(|r| r.relabel_values(vp)).collect()))
-                .collect(),
-            failed: self.failed.clone(),
-        }
-    }
-}
-
 impl fmt::Display for SvcState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "val={}", self.val)?;

@@ -43,7 +43,6 @@
 pub mod channel;
 pub mod fd;
 pub mod ids;
-pub mod relabel;
 pub mod seq;
 pub mod seq_type;
 pub mod service_type;
@@ -51,6 +50,5 @@ pub mod tob;
 pub mod value;
 
 pub use ids::{GlobalTaskId, ProcId, SvcId};
-pub use relabel::{RelabelValues, ValuePerm};
 pub use seq_type::{Inv, Resp, SeqType};
 pub use value::Val;

@@ -92,13 +92,6 @@ impl SeqType for BinaryConsensus {
         // no process identity anywhere.
         true
     }
-
-    fn value_symmetric(&self) -> bool {
-        // First-value-wins never inspects which value it stores:
-        // relabeling 0 ↔ 1 in the invocation and the chosen set
-        // commutes with δ.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -175,20 +175,6 @@ pub trait SeqType: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Whether the type is *value-symmetric*: relabeling the binary
-    /// consensus values `0 ↔ 1` (structurally, via
-    /// [`crate::relabel::RelabelValues`]) in an invocation and in the
-    /// stored value commutes with `δ` — the type carries values without
-    /// ever inspecting them asymmetrically. Canonical services over a
-    /// value-symmetric type may be quotiented by the composed
-    /// `S_n × S_vals` group (`SymmetryMode::Values`); the claim is
-    /// audited by the `value-symmetry` rule in `analysis::audit`.
-    /// Defaults to `false`; value-oblivious types (binary consensus)
-    /// opt in.
-    fn value_symmetric(&self) -> bool {
-        false
-    }
-
     /// Whether the type is deterministic: `|V0| = 1` and `δ` is a mapping
     /// over the reachable values.
     ///

@@ -186,12 +186,12 @@ pub struct CompleteSystem<P> {
     /// Memo slot for the symmetry-honesty gate
     /// (`analysis::audit::effective_symmetry`): the gate's verdict is a
     /// pure function of the (immutable) composition, so it is computed
-    /// at most once per system instance. The pair is (process-id
-    /// symmetry trusted, value symmetry trusted) — the gate degrades
-    /// stepwise `Values → Full → Off` off these two bits. Lives here —
+    /// at most once per system instance. The bit is whether the
+    /// claimed process-id symmetry is trusted; the gate degrades
+    /// `Full → Off` when it is not. Lives here —
     /// not in a cache keyed by address in `analysis` — because an
     /// address-keyed memo would go stale when an allocation is reused.
-    symmetry_audit: std::sync::OnceLock<(bool, bool)>,
+    symmetry_audit: std::sync::OnceLock<bool>,
 }
 
 impl<P: ProcessAutomaton> CompleteSystem<P> {
@@ -220,10 +220,9 @@ impl<P: ProcessAutomaton> CompleteSystem<P> {
     }
 
     /// The memo slot for the symmetry-honesty audit gate. The analysis
-    /// layer fills it on first use; the bits mean (claimed process-id
-    /// symmetry survived the audit, claimed value symmetry survived
-    /// the audit).
-    pub fn symmetry_audit_cache(&self) -> &std::sync::OnceLock<(bool, bool)> {
+    /// layer fills it on first use; the bit means the claimed
+    /// process-id symmetry survived the audit.
+    pub fn symmetry_audit_cache(&self) -> &std::sync::OnceLock<bool> {
         &self.symmetry_audit
     }
 

@@ -39,11 +39,15 @@ use ioa::automaton::{ActionKind, Automaton, CacheStats};
 use ioa::canon::{Perm, SymGroup, SymmetryMode};
 use ioa::store::{fx_hash, CompId, Interner};
 use services::SvcState;
-use spec::{Inv, ProcId, RelabelValues, Resp, SvcId, ValuePerm};
+use spec::{Inv, ProcId, Resp, SvcId};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 use std::sync::{RwLock, RwLockReadGuard};
+
+/// The largest process count a [`PackedSystem`] supports: the failed
+/// set is packed as a `u32` bitmask.
+pub const MAX_PROCESSES: usize = 32;
 
 /// A system state packed as component ids.
 ///
@@ -120,20 +124,11 @@ pub struct PackedSystem<'s, P: ProcessAutomaton> {
 /// its image under `π` is a different component. `svc_maps[π][sc]`
 /// memoizes the interned id of `π` applied to service component `sc`;
 /// entries are filled on demand, and since interning is idempotent a
-/// racing fill writes the identical id. The two `*_relabel` tables do
-/// the same for the 0 ↔ 1 value relabeling `ν` (active only when
-/// `values` is set), indexed by component id.
+/// racing fill writes the identical id.
 #[derive(Debug)]
 struct Symmetry {
-    /// Whether the consensus-value relabeling group is composed in
-    /// (`S_n × S_vals` instead of `S_n`).
-    values: bool,
     /// `svc_maps[π][sc]` = interned id of `π · resolve(sc)`.
     svc_maps: RwLock<HashMap<Perm, Vec<Option<u32>>>>,
-    /// `proc_relabel[pc]` = interned id of `ν · resolve(pc)`.
-    proc_relabel: RwLock<Vec<Option<u32>>>,
-    /// `svc_relabel[sc]` = interned id of `ν · resolve(sc)`.
-    svc_relabel: RwLock<Vec<Option<u32>>>,
 }
 
 /// A [`StateView`] over a packed state: holds read guards on both
@@ -178,19 +173,14 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         Self::with_symmetry(sys, SymmetryMode::from_env())
     }
 
-    /// [`PackedSystem::new`] with an explicit symmetry mode. Under any
-    /// reducing mode ([`SymmetryMode::reduces`]) the canonicalizer
-    /// activates only when the system actually *is* process-id
-    /// symmetric — an id-symmetric process family and
-    /// endpoint-symmetric services whose endpoint set is exactly all
-    /// `n` processes (see [`PackedSystem::symmetric_system`]);
-    /// otherwise [`PackedSystem::canonical_with_sym`] degenerates to
-    /// the identity and exploration is unchanged. Under
-    /// [`SymmetryMode::Values`] the 0 ↔ 1 value relabeling is
-    /// additionally composed in when every component claims it
-    /// ([`PackedSystem::value_symmetric_system`]); a system that is
-    /// process-symmetric but not value-symmetric degrades to the plain
-    /// `S_n` quotient.
+    /// [`PackedSystem::new`] with an explicit symmetry mode. Under
+    /// [`SymmetryMode::Full`] the canonicalizer activates only when the
+    /// system actually *is* process-id symmetric — an id-symmetric
+    /// process family and endpoint-symmetric services whose endpoint
+    /// set is exactly all `n` processes (see
+    /// [`PackedSystem::symmetric_system`]); otherwise
+    /// [`PackedSystem::canonical_with_sym`] degenerates to the identity
+    /// and exploration is unchanged.
     ///
     /// # Panics
     ///
@@ -206,10 +196,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         p.cache = Some(EffectCache::new(p.n, p.m, globals));
         if mode.reduces() && Self::symmetric_system(sys) {
             p.symmetry = Some(Symmetry {
-                values: mode.wants_values() && Self::value_symmetric_system(sys),
                 svc_maps: RwLock::new(HashMap::new()),
-                proc_relabel: RwLock::new(Vec::new()),
-                svc_relabel: RwLock::new(Vec::new()),
             });
         }
         p
@@ -228,25 +215,13 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     #[must_use]
     pub fn symmetric_system(sys: &CompleteSystem<P>) -> bool {
         let n = sys.process_count();
-        (2..=32).contains(&n)
+        (2..=MAX_PROCESSES).contains(&n)
             && sys.process_automaton().id_symmetric()
             && sys.services().iter().all(|svc| {
                 svc.endpoint_symmetric()
                     && svc.endpoints().len() == n
                     && svc.endpoints().iter().enumerate().all(|(k, p)| p.0 == k)
             })
-    }
-
-    /// Whether every component of `sys` claims the 0 ↔ 1 value
-    /// relabeling as an automorphism
-    /// ([`ProcessAutomaton::value_symmetric`],
-    /// [`services::Service::value_symmetric`]). Gates the composed
-    /// `S_n × S_vals` quotient; the claims themselves are audited by
-    /// the `value-symmetry` rule in `analysis::audit`.
-    #[must_use]
-    pub fn value_symmetric_system(sys: &CompleteSystem<P>) -> bool {
-        sys.process_automaton().value_symmetric()
-            && sys.services().iter().all(|svc| svc.value_symmetric())
     }
 
     /// Like [`PackedSystem::new`] but with effect memoization disabled:
@@ -261,8 +236,8 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         let n = sys.process_count();
         let m = sys.services().len();
         assert!(
-            n <= 32,
-            "packed failed-set bitmask supports at most 32 processes, got {n}"
+            n <= MAX_PROCESSES,
+            "packed failed-set bitmask supports at most {MAX_PROCESSES} processes, got {n}"
         );
         PackedSystem {
             sys,
@@ -276,29 +251,24 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     }
 
     /// The effective symmetry mode: what the orbit canonicalizer
-    /// actually quotients by after the contract gates —
-    /// [`SymmetryMode::Off`] when inactive, [`SymmetryMode::Values`]
-    /// when the value relabeling is composed in, [`SymmetryMode::Full`]
+    /// actually quotients by after the contract gate —
+    /// [`SymmetryMode::Full`] when active, [`SymmetryMode::Off`]
     /// otherwise. Exploration options should take their `symmetry` from
     /// here so asymmetric systems never pay canonicalization overhead.
     #[must_use]
     pub fn symmetry_mode(&self) -> SymmetryMode {
-        match &self.symmetry {
-            None => SymmetryMode::Off,
-            Some(s) if s.values => SymmetryMode::Values,
-            Some(_) => SymmetryMode::Full,
+        if self.symmetry.is_some() {
+            SymmetryMode::Full
+        } else {
+            SymmetryMode::Off
         }
     }
 
     /// The symmetry group the canonicalizer quotients by, when active:
-    /// a compact descriptor (`S_n`, optionally composed with the value
-    /// relabeling) — the group is never materialized.
+    /// a compact `S_n` descriptor — the group is never materialized.
     #[must_use]
     pub fn symmetry_group(&self) -> Option<SymGroup> {
-        self.symmetry.as_ref().map(|s| SymGroup {
-            n: self.n,
-            values: s.values,
-        })
+        self.symmetry.as_ref().map(|_| SymGroup { n: self.n })
     }
 
     /// Whether the transition-effect cache is enabled.
@@ -398,90 +368,15 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         sc2
     }
 
-    /// The interned id of the 0 ↔ 1 relabeling `ν` applied to process
-    /// component `pc`, memoized. Same acyclic lock discipline as
-    /// [`svc_remap`](Self::svc_remap).
-    fn proc_relabel(&self, pc: u32) -> u32 {
-        let sym = self.symmetry.as_ref().expect("symmetry enabled");
-        if let Some(&Some(v)) = sym
-            .proc_relabel
-            .read()
-            .expect("relabel lock poisoned")
-            .get(pc as usize)
-        {
-            return v;
-        }
-        let relabeled = {
-            let procs = self.procs.read().expect("interner lock poisoned");
-            procs
-                .resolve(CompId::from_index(pc as usize))
-                .relabel_values(ValuePerm::Swap)
-        };
-        let pc2 = id_bits(
-            self.procs
-                .write()
-                .expect("interner lock poisoned")
-                .intern(relabeled)
-                .0,
-        );
-        let mut memo = sym.proc_relabel.write().expect("relabel lock poisoned");
-        if memo.len() <= pc as usize {
-            memo.resize(pc as usize + 1, None);
-        }
-        memo[pc as usize] = Some(pc2);
-        pc2
-    }
-
-    /// The interned id of `ν` applied to service component `sc`,
-    /// memoized.
-    fn svc_relabel(&self, sc: u32) -> u32 {
-        let sym = self.symmetry.as_ref().expect("symmetry enabled");
-        if let Some(&Some(v)) = sym
-            .svc_relabel
-            .read()
-            .expect("relabel lock poisoned")
-            .get(sc as usize)
-        {
-            return v;
-        }
-        let relabeled = {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
-            svcs.resolve(CompId::from_index(sc as usize))
-                .relabel_values(ValuePerm::Swap)
-        };
-        let sc2 = id_bits(
-            self.svcs
-                .write()
-                .expect("interner lock poisoned")
-                .intern(relabeled)
-                .0,
-        );
-        let mut memo = sym.svc_relabel.write().expect("relabel lock poisoned");
-        if memo.len() <= sc as usize {
-            memo.resize(sc as usize + 1, None);
-        }
-        memo[sc as usize] = Some(sc2);
-        sc2
-    }
-
-    /// `ν · ps`: every process and service component relabeled 0 ↔ 1,
-    /// the failed mask (process identities) untouched.
-    fn relabel_state(&self, ps: &PackedState) -> PackedState {
-        let mut comps = ps.comps.clone();
-        for i in 0..self.n {
-            comps[i] = self.proc_relabel(ps.comps[i]);
-        }
-        for c in 0..self.m {
-            comps[self.n + c] = self.svc_relabel(ps.comps[self.n + c]);
-        }
-        PackedState { comps }
-    }
-
-    /// The `S_n`-canonical form of `ps` and the sorting permutation `σ`
-    /// (`σ · ps = rep`): process indices stably sorted by their full
-    /// local-view signature — process component key first, then the
-    /// failed bit, then the per-service endpoint views. One
-    /// `O(n log n)` sort instead of an `n!` candidate sweep.
+    /// The canonical orbit representative of `ps` and the sorting
+    /// permutation `σ` that produced it (`σ · ps = rep`): process
+    /// indices stably sorted by their full local-view signature —
+    /// process component key first, then the failed bit, then the
+    /// per-service endpoint views. One `O(n log n)` sort instead of an
+    /// `n!` candidate sweep. Both are identities when `ps` is already
+    /// canonical or the canonicalizer is inactive. The deep mirror
+    /// [`canonical_system_state_with`] makes exactly the same choices,
+    /// keeping the two representations in lockstep.
     ///
     /// **Why a sort is canonical.** The signature captures *everything*
     /// in the state that distinguishes index `i` from index `j`: the
@@ -502,7 +397,11 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// finer signature components (strict ascent means no ties), so the
     /// common asymmetric-state case returns without resolving a single
     /// service component.
-    fn proc_canonical(&self, ps: &PackedState) -> (PackedState, Perm) {
+    #[must_use]
+    pub fn canonical_with_sym(&self, ps: &PackedState) -> (PackedState, Perm) {
+        if self.symmetry.is_none() {
+            return (ps.clone(), Perm::identity(self.n));
+        }
         {
             let procs = self.procs.read().expect("interner lock poisoned");
             if (1..self.n)
@@ -550,64 +449,6 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         }
         comps[self.n + self.m] = sigma.permute_mask(ps.comps[self.n + self.m]);
         (PackedState { comps }, sigma)
-    }
-
-    /// Value-based comparison of two (already `S_n`-canonical) packed
-    /// states, used to pick between the `ν = id` and `ν = swap`
-    /// branches: process slots by `(fx hash, value)`, then service
-    /// slots the same way, then the failed masks numerically — the
-    /// packed twin of [`cmp_deep`].
-    fn cmp_reps(&self, a: &PackedState, b: &PackedState) -> Ordering {
-        {
-            let procs = self.procs.read().expect("interner lock poisoned");
-            for j in 0..self.n {
-                let ord = cmp_proc_slot(&procs, a.comps[j], b.comps[j]);
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-        {
-            let svcs = self.svcs.read().expect("interner lock poisoned");
-            for c in 0..self.m {
-                let ord = cmp_proc_slot(&svcs, a.comps[self.n + c], b.comps[self.n + c]);
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-        a.comps[self.n + self.m].cmp(&b.comps[self.n + self.m])
-    }
-
-    /// The canonical orbit representative of `ps` under the active
-    /// group, together with the group element `(σ, ν)` that produced it
-    /// (`σ · ν · ps = rep`; `σ` and `ν` act on disjoint data, so they
-    /// commute). Both are identities when `ps` is already canonical or
-    /// the canonicalizer is inactive.
-    ///
-    /// Under the plain `S_n` quotient this is
-    /// [`proc_canonical`](Self::proc_canonical); with the value group
-    /// composed in, the representative is the smaller (by
-    /// [`cmp_reps`](Self::cmp_reps)) of the `S_n`-canonical forms of
-    /// `ps` and `ν · ps`, preferring `ν = id` on ties. The deep mirror
-    /// [`canonical_system_state_with`] makes exactly the same choices,
-    /// keeping the two representations in lockstep.
-    #[must_use]
-    pub fn canonical_with_sym(&self, ps: &PackedState) -> (PackedState, Perm, ValuePerm) {
-        let Some(sym) = &self.symmetry else {
-            return (ps.clone(), Perm::identity(self.n), ValuePerm::Id);
-        };
-        let (rep0, sigma0) = self.proc_canonical(ps);
-        if !sym.values {
-            return (rep0, sigma0, ValuePerm::Id);
-        }
-        let swapped = self.relabel_state(ps);
-        let (rep1, sigma1) = self.proc_canonical(&swapped);
-        if self.cmp_reps(&rep1, &rep0) == Ordering::Less {
-            (rep1, sigma1, ValuePerm::Swap)
-        } else {
-            (rep0, sigma0, ValuePerm::Id)
-        }
     }
 
     // ----- cached successor expansion --------------------------------
@@ -993,10 +834,8 @@ pub fn permute_system_state<PS: Clone>(p: &Perm, s: &SystemState<PS>) -> SystemS
     }
 }
 
-/// The failed set as the packed `u32` bitmask — the representation the
-/// canonical order compares, which (deliberately) disagrees with the
-/// `BTreeSet` lexicographic order: `{P1}` (mask 2) precedes
-/// `{P0, P2}` (mask 5).
+/// The failed set as the packed `u32` bitmask (bit `i` set iff `Pi`
+/// failed), the layout [`PackedState`] stores.
 fn failed_mask(failed: &BTreeSet<ProcId>) -> u32 {
     failed.iter().fold(0u32, |m, i| m | 1 << i.0)
 }
@@ -1014,47 +853,24 @@ fn cmp_endpoint_view(st: &SvcState, i: ProcId, j: ProcId) -> Ordering {
         .then_with(|| st.resp_buffer(i).cmp(st.resp_buffer(j)))
 }
 
-/// The deep mirror of the packed representative order: processes, then
-/// services (each slot by `(fx hash, value)`), then failed-set masks
-/// numerically.
-fn cmp_deep<PS: Hash + Ord>(a: &SystemState<PS>, b: &SystemState<PS>) -> Ordering {
-    for (x, y) in a.procs.iter().zip(&b.procs) {
-        let ord = fx_hash(x).cmp(&fx_hash(y)).then_with(|| x.cmp(y));
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    for (x, y) in a.services.iter().zip(&b.services) {
-        let ord = fx_hash(x).cmp(&fx_hash(y)).then_with(|| x.cmp(y));
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    failed_mask(&a.failed).cmp(&failed_mask(&b.failed))
-}
-
-/// `ν` applied to a deep system state: every process and service state
-/// relabeled 0 ↔ 1 structurally, the failed set (process identities)
-/// untouched.
-#[must_use]
-pub fn relabel_system_state<PS: RelabelValues>(
-    vp: ValuePerm,
-    s: &SystemState<PS>,
-) -> SystemState<PS> {
-    SystemState {
-        procs: s.procs.iter().map(|p| p.relabel_values(vp)).collect(),
-        services: s.services.iter().map(|st| st.relabel_values(vp)).collect(),
-        failed: s.failed.clone(),
-    }
-}
-
-/// The deep `S_n`-canonical form: process indices stably sorted by the
-/// same full local-view signature the packed
+/// The canonical orbit representative of a deep system state under the
+/// group `group`, with the permutation `σ` that produced it
+/// (`σ · s = rep`): process indices stably sorted by the same full
+/// local-view signature the packed
 /// [`PackedSystem::canonical_with_sym`] sorts by — `(fx hash, value)`
 /// of the process state, then the failed bit, then each service's
 /// endpoint view ([`cmp_endpoint_view`]).
-fn proc_canonical_deep<PS: Clone + Hash + Ord>(s: &SystemState<PS>) -> (SystemState<PS>, Perm) {
-    let n = s.procs.len();
+///
+/// [`Interner::hash_of`] caches precisely `fx_hash` of the component
+/// value, so the deep and packed canonicalizers always agree (pinned
+/// by the differential tests).
+#[must_use]
+pub fn canonical_system_state_with<PS: Clone + Hash + Ord>(
+    group: SymGroup,
+    s: &SystemState<PS>,
+) -> (SystemState<PS>, Perm) {
+    let n = group.n;
+    assert_eq!(s.procs.len(), n, "state has wrong process count");
     let mask = failed_mask(&s.failed);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
@@ -1079,42 +895,12 @@ fn proc_canonical_deep<PS: Clone + Hash + Ord>(s: &SystemState<PS>) -> (SystemSt
     if sigma.is_identity() {
         return (s.clone(), sigma);
     }
-    let rep = permute_system_state(&sigma, s);
-    (rep, sigma)
+    (permute_system_state(&sigma, s), sigma)
 }
 
-/// The canonical orbit representative of a deep system state under the
-/// group `group`, with the group element `(σ, ν)` that produced it
-/// (`σ · ν · s = rep`; `σ` permutes process ids, `ν` relabels values,
-/// and the two commute since they act on disjoint data).
-///
-/// Chooses by exactly the signature order
-/// [`PackedSystem::canonical_with_sym`] uses — [`Interner::hash_of`]
-/// caches precisely `fx_hash` of the component value — so the deep and
-/// packed canonicalizers always agree (pinned by the differential
-/// tests).
+/// [`canonical_system_state_with`] without the permutation.
 #[must_use]
-pub fn canonical_system_state_with<PS: Clone + Hash + Ord + RelabelValues>(
-    group: SymGroup,
-    s: &SystemState<PS>,
-) -> (SystemState<PS>, Perm, ValuePerm) {
-    assert_eq!(s.procs.len(), group.n, "state has wrong process count");
-    let (rep0, sigma0) = proc_canonical_deep(s);
-    if !group.values {
-        return (rep0, sigma0, ValuePerm::Id);
-    }
-    let swapped = relabel_system_state(ValuePerm::Swap, s);
-    let (rep1, sigma1) = proc_canonical_deep(&swapped);
-    if cmp_deep(&rep1, &rep0) == Ordering::Less {
-        (rep1, sigma1, ValuePerm::Swap)
-    } else {
-        (rep0, sigma0, ValuePerm::Id)
-    }
-}
-
-/// [`canonical_system_state_with`] without the group element.
-#[must_use]
-pub fn canonical_system_state<PS: Clone + Hash + Ord + RelabelValues>(
+pub fn canonical_system_state<PS: Clone + Hash + Ord>(
     group: SymGroup,
     s: &SystemState<PS>,
 ) -> SystemState<PS> {
@@ -1128,15 +914,9 @@ pub fn canonical_system_state<PS: Clone + Hash + Ord + RelabelValues>(
 /// groups over its equal-signature process classes (two processes with
 /// identical full local-view signatures — state, failed bit, every
 /// service's endpoint view — are literally interchangeable), so the
-/// process-orbit size is the multinomial `n! / ∏ |class|!`. With the
-/// value group composed in, the orbit doubles precisely when the 0 ↔ 1
-/// relabeled state falls outside the `S_n` orbit (its `S_n`-canonical
-/// form differs from the state's own).
+/// orbit size is the multinomial `n! / ∏ |class|!`.
 #[must_use]
-pub fn orbit_size<PS: Clone + Hash + Ord + RelabelValues>(
-    group: SymGroup,
-    s: &SystemState<PS>,
-) -> u64 {
+pub fn orbit_size<PS: Eq>(group: SymGroup, s: &SystemState<PS>) -> u64 {
     let n = group.n;
     assert_eq!(s.procs.len(), n, "state has wrong process count");
     let mask = failed_mask(&s.failed);
@@ -1159,16 +939,9 @@ pub fn orbit_size<PS: Clone + Hash + Ord + RelabelValues>(
         }
     }
     let fact = |k: u64| (1..=k).product::<u64>();
-    let mut orbit = class_sizes
+    class_sizes
         .iter()
-        .fold(fact(n as u64), |acc, &c| acc / fact(c));
-    if group.values {
-        let swapped = relabel_system_state(ValuePerm::Swap, s);
-        if proc_canonical_deep(&swapped).0 != proc_canonical_deep(s).0 {
-            orbit *= 2;
-        }
-    }
-    orbit
+        .fold(fact(n as u64), |acc, &c| acc / fact(c))
 }
 
 impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
@@ -1398,22 +1171,9 @@ mod tests {
     fn symmetry_gate_accepts_direct_consensus_only_when_asked() {
         let sys = direct_system(3, 1);
         assert!(PackedSystem::symmetric_system(&sys));
-        assert!(PackedSystem::value_symmetric_system(&sys));
         let full = PackedSystem::with_symmetry(&sys, SymmetryMode::Full);
         assert_eq!(full.symmetry_mode(), SymmetryMode::Full);
-        assert_eq!(
-            full.symmetry_group(),
-            Some(SymGroup {
-                n: 3,
-                values: false
-            })
-        );
-        let values = PackedSystem::with_symmetry(&sys, SymmetryMode::Values);
-        assert_eq!(values.symmetry_mode(), SymmetryMode::Values);
-        assert_eq!(
-            values.symmetry_group(),
-            Some(SymGroup { n: 3, values: true })
-        );
+        assert_eq!(full.symmetry_group(), Some(SymGroup { n: 3 }));
         let off = PackedSystem::with_symmetry(&sys, SymmetryMode::Off);
         assert_eq!(off.symmetry_mode(), SymmetryMode::Off);
         assert!(off.symmetry_group().is_none());
@@ -1450,73 +1210,24 @@ mod tests {
         let deep_rep = canonical_system_state(group, &s);
         for p in &perms {
             let s2 = permute_system_state(p, &s);
-            let (rep, sigma, nu) = packed.canonical_with_sym(&packed.encode(&s2));
+            let (rep, sigma) = packed.canonical_with_sym(&packed.encode(&s2));
             // Every orbit member canonicalizes to the same packed rep,
             // which decodes to the deep mirror's rep.
             assert_eq!(packed.decode(&rep), deep_rep, "perm {p:?}");
-            // The returned (σ, ν) really maps the input to the rep.
-            assert_eq!(nu, spec::ValuePerm::Id);
+            // The returned σ really maps the input to the rep.
             assert_eq!(permute_system_state(&sigma, &s2), deep_rep);
             // Idempotence.
-            let (rep2, sigma2, nu2) = packed.canonical_with_sym(&rep);
+            let (rep2, sigma2) = packed.canonical_with_sym(&rep);
             assert_eq!(rep2, rep);
             assert!(sigma2.is_identity());
-            assert!(nu2.is_identity());
         }
         // Deep mirror agrees with itself under permutation too.
         for p in &perms {
             let s2 = permute_system_state(p, &s);
-            let (rep, sigma, _) = canonical_system_state_with(group, &s2);
+            let (rep, sigma) = canonical_system_state_with(group, &s2);
             assert_eq!(rep, deep_rep);
             assert_eq!(permute_system_state(&sigma, &s2), deep_rep);
         }
-    }
-
-    #[test]
-    fn value_canonicalization_collapses_relabeled_orbits() {
-        let sys = direct_system(3, 1);
-        let packed = PackedSystem::with_symmetry(&sys, SymmetryMode::Values);
-        let group = packed.symmetry_group().expect("active");
-        assert!(group.values);
-        // Inputs whose value *multiset* changes under 0 ↔ 1
-        // ({1, 1, 0} → {0, 0, 1}): the swapped state is then outside
-        // the S_n orbit of `s`, so collapsing the two genuinely needs
-        // the value group. (A single 1 vs a single 0 would not do —
-        // there the swap equals a process transposition and ν = Id is
-        // the correct answer for both members.)
-        let mut s = sys.single_initial_state();
-        s = sys.init(&s, ProcId(0), Val::Int(1));
-        s = sys.init(&s, ProcId(1), Val::Int(1));
-        s = sys.init(&s, ProcId(2), Val::Int(0));
-        let swapped = relabel_system_state(spec::ValuePerm::Swap, &s);
-        assert_ne!(s, swapped);
-        // Both value-orbit members canonicalize to the same rep, in
-        // both representations.
-        let (rep_a, _, _) = packed.canonical_with_sym(&packed.encode(&s));
-        let (rep_b, _, _) = packed.canonical_with_sym(&packed.encode(&swapped));
-        assert_eq!(rep_a, rep_b);
-        let (deep_a, _, _) = canonical_system_state_with(group, &s);
-        let (deep_b, _, _) = canonical_system_state_with(group, &swapped);
-        assert_eq!(deep_a, deep_b);
-        assert_eq!(packed.decode(&rep_a), deep_a);
-        // The returned (σ, ν) maps the input onto the rep: σ · ν · s.
-        for member in [&s, &swapped] {
-            let (rep, sigma, nu) = canonical_system_state_with(group, member);
-            assert_eq!(
-                permute_system_state(&sigma, &relabel_system_state(nu, member)),
-                rep
-            );
-        }
-        // Exactly one of the two carries the swap.
-        let nu_a = canonical_system_state_with(group, &s).2;
-        let nu_b = canonical_system_state_with(group, &swapped).2;
-        assert_ne!(nu_a, nu_b);
-        // Value quotient refines into the plain quotient: under Full
-        // the two members stay distinct.
-        let full = PackedSystem::with_symmetry(&sys, SymmetryMode::Full);
-        let (fa, _, _) = full.canonical_with_sym(&full.encode(&s));
-        let (fb, _, _) = full.canonical_with_sym(&full.encode(&swapped));
-        assert_ne!(fa, fb);
     }
 
     #[test]
@@ -1532,11 +1243,11 @@ mod tests {
         s = sys.init(&s, ProcId(7), Val::Int(1));
         s = sys.init(&s, ProcId(2), Val::Int(0));
         s = sys.fail(&s, ProcId(5));
-        let (rep, sigma, _) = packed.canonical_with_sym(&packed.encode(&s));
+        let (rep, sigma) = packed.canonical_with_sym(&packed.encode(&s));
         assert_eq!(permute_system_state(&sigma, &s), packed.decode(&rep));
         // A transposed twin lands on the same representative.
         let t = Perm::from_map([0, 1, 7, 3, 4, 5, 6, 2, 8]);
-        let (rep2, _, _) = packed.canonical_with_sym(&packed.encode(&permute_system_state(&t, &s)));
+        let (rep2, _) = packed.canonical_with_sym(&packed.encode(&permute_system_state(&t, &s)));
         assert_eq!(rep, rep2);
     }
 

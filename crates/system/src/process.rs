@@ -9,7 +9,7 @@
 //! `decide(v)_i` it records `v` in its state; [`ProcessAutomaton::decision`]
 //! exposes that component.
 
-use spec::{Inv, ProcId, RelabelValues, Resp, SvcId, Val};
+use spec::{Inv, ProcId, Resp, SvcId, Val};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -42,14 +42,7 @@ pub enum ProcAction {
 /// families are immutable rule tables, so the bounds hold trivially.
 pub trait ProcessAutomaton: Debug + Send + Sync {
     /// The per-process state.
-    ///
-    /// The [`RelabelValues`] bound gives every process state a
-    /// *structural* 0 ↔ 1 consensus-value relabeling; whether that
-    /// relabeling is a genuine automorphism of the family is the
-    /// separate, default-off [`ProcessAutomaton::value_symmetric`]
-    /// contract. Families that never claim it may implement the
-    /// relabeling as the identity.
-    type State: Clone + Eq + Ord + Hash + Debug + Send + Sync + RelabelValues;
+    type State: Clone + Eq + Ord + Hash + Debug + Send + Sync;
 
     /// The start state of `P_i`.
     fn initial(&self, i: ProcId) -> Self::State;
@@ -79,19 +72,6 @@ pub trait ProcessAutomaton: Debug + Send + Sync {
     /// `false` — symmetry is a per-family opt-in contract, not an
     /// inferred property.
     fn id_symmetric(&self) -> bool {
-        false
-    }
-
-    /// Whether the family is *value-symmetric*: relabeling the binary
-    /// consensus values 0 ↔ 1 (structurally, via [`RelabelValues`] on
-    /// [`ProcessAutomaton::State`] and on the `Val`/`Inv`/`Resp`
-    /// payloads of [`ProcAction`]) commutes with `initial`, `on_init`,
-    /// `on_response`, `step` and `decision`. Together with
-    /// `Service::value_symmetric` on every service this gates the
-    /// composed `S_n × S_vals` quotient (`SymmetryMode::Values`); the
-    /// claim is audited by the `value-symmetry` rule in
-    /// `analysis::audit`. Defaults to `false`.
-    fn value_symmetric(&self) -> bool {
         false
     }
 
@@ -133,20 +113,6 @@ pub mod direct {
         Responding(Val),
         /// Decided `v` (recorded per Section 2.2.1).
         Decided(Val),
-    }
-
-    impl spec::RelabelValues for Phase {
-        /// The structural 0 ↔ 1 relabeling: the carried input/response/
-        /// decision value is relabeled, the phase tag is not.
-        fn relabel_values(&self, vp: spec::ValuePerm) -> Phase {
-            match self {
-                Phase::Idle => Phase::Idle,
-                Phase::Waiting => Phase::Waiting,
-                Phase::HasInput(v) => Phase::HasInput(v.relabel_values(vp)),
-                Phase::Responding(v) => Phase::Responding(v.relabel_values(vp)),
-                Phase::Decided(v) => Phase::Decided(v.relabel_values(vp)),
-            }
-        }
     }
 
     /// The direct consensus protocol over a single shared consensus
@@ -226,13 +192,6 @@ pub mod direct {
             // Every method above ignores `i` except for action labels:
             // all processes run the same phase machine over the same
             // shared object.
-            true
-        }
-
-        fn value_symmetric(&self) -> bool {
-            // The phase machine carries its input/response value
-            // opaquely: no method branches on whether it is 0 or 1, so
-            // relabeling commutes with every transition.
             true
         }
     }

@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F] [--threads T]
-//!               [--symmetry full|values|off] [--frontier layered|ws]
+//!               [--symmetry full|off] [--frontier layered|ws]
 //! repro certify --construction set-boost|fd-boost|tas [--n N] [--k K]
-//! repro hook    [--n N] [--f F] [--dot FILE] [--threads T] [--symmetry full|values|off]
+//! repro hook    [--n N] [--f F] [--dot FILE] [--threads T] [--symmetry full|off]
 //!               [--frontier layered|ws]
-//! repro census  [--n N] [--f F] [--threads T] [--symmetry full|values|off] [--frontier layered|ws]
+//! repro census  [--n N] [--f F] [--threads T] [--symmetry full|off] [--frontier layered|ws]
 //! repro check EXPR --class atomic|registers|oblivious|general [--n N] [--f F]
-//!                  [--ones K] [--threads T] [--symmetry full|values|off] [--frontier layered|ws]
+//!                  [--ones K] [--threads T] [--symmetry full|off] [--frontier layered|ws]
 //! repro audit   [--class atomic|registers|oblivious|general|mixed|tas|universal|flooding|
 //!                        snapshot|fd-boost|set-boost|derived-fd|all|
-//!                        broken-sym|broken-values|broken-tasks|broken-impure]
+//!                        broken-sym|broken-tasks|broken-impure]
 //!               [--n N] [--f F] [--budget STATES]
 //! ```
 //!
@@ -43,6 +43,14 @@
 //! `--threads` sets the exploration worker count (0 = auto); every
 //! result is bit-identical across thread counts.
 //!
+//! Numeric flags are checked against what the library accepts before
+//! anything is built: `--n` lies in `1..=32` (the packed state layout's
+//! limit), raised to 2 where a construction needs two processes;
+//! `witness` needs `f + 1 < n`, because its refutation fails `f + 1`
+//! processes and needs a survivor; `certify --construction set-boost`
+//! needs `1 ≤ k < n` with `k | n`. A bad value exits 2 with one
+//! `error:` line.
+//!
 //! `--frontier ws` routes every exploration through the sharded
 //! work-stealing frontier (DESIGN §2.1.5) instead of the
 //! layer-synchronous default — same verdicts, censuses and property
@@ -53,10 +61,7 @@
 //! `G(C)` (orbit canonicalization) — same theorem verdicts and census
 //! classifications with far fewer interned states on id-symmetric
 //! candidates; falls back to the full graph on candidates that are
-//! not. `--symmetry values` composes the 0 ↔ 1 value-relabeling group
-//! on top (`S_n × S_vals`, DESIGN §2.1.6) on substrates whose every
-//! component claims `value_symmetric`, degrading to `full` otherwise.
-//! Defaults to the `SYMMETRY` environment variable (`full`/`values` to
+//! not. Defaults to the `SYMMETRY` environment variable (`full` to
 //! enable), else off. Under an active quotient, `census` additionally
 //! prints the orbit-size histogram — how many concrete states each
 //! interned representative stands for.
@@ -84,6 +89,7 @@ use protocols::set_boost::SetBoostParams;
 use resilience_boosting::prelude::*;
 use std::process::ExitCode;
 use system::consensus::InputAssignment;
+use system::packed::MAX_PROCESSES;
 use system::process::ProcessAutomaton;
 use system::sched::initialize;
 
@@ -141,15 +147,25 @@ impl Args {
         self.usize_or("threads", 0)
     }
 
-    /// The symmetry mode (`--symmetry full|values|off`, default from
+    /// `--n`, checked against the smallest process count `min` the
+    /// chosen construction accepts and the packed layout's
+    /// [`MAX_PROCESSES`].
+    fn n(&self, default: usize, min: usize) -> usize {
+        let n = self.usize_or("n", default);
+        if !(min..=MAX_PROCESSES).contains(&n) {
+            fail(&format!("--n must be in {min}..={MAX_PROCESSES}, got {n}"));
+        }
+        n
+    }
+
+    /// The symmetry mode (`--symmetry full|off`, default from
     /// the `SYMMETRY` environment variable).
     fn symmetry(&self) -> SymmetryMode {
         match self.get("symmetry") {
             None => SymmetryMode::from_env(),
             Some("full") => SymmetryMode::Full,
-            Some("values") => SymmetryMode::Values,
             Some("off") => SymmetryMode::Off,
-            Some(other) => die(&format!("--symmetry wants full|values|off, got {other:?}")),
+            Some(other) => die(&format!("--symmetry wants full|off, got {other:?}")),
         }
     }
 
@@ -184,15 +200,17 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage:\n  \
-         repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F] [--threads T] [--symmetry full|values|off] [--frontier layered|ws]\n  \
+         repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
          repro certify --construction set-boost|fd-boost|tas [--n N] [--k K]\n  \
-         repro hook [--n N] [--f F] [--dot FILE] [--threads T] [--symmetry full|values|off] [--frontier layered|ws]\n  \
-         repro census [--n N] [--f F] [--threads T] [--symmetry full|values|off] [--frontier layered|ws]\n  \
-         repro check EXPR --class atomic|registers|oblivious|general [--n N] [--f F] [--ones K] [--threads T] [--symmetry full|values|off] [--frontier layered|ws]\n  \
-         repro audit [--class atomic|registers|oblivious|general|mixed|tas|universal|flooding|snapshot|fd-boost|set-boost|derived-fd|all|broken-sym|broken-values|broken-tasks|broken-impure] [--n N] [--f F] [--budget STATES]\n\
+         repro hook [--n N] [--f F] [--dot FILE] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
+         repro census [--n N] [--f F] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
+         repro check EXPR --class atomic|registers|oblivious|general [--n N] [--f F] [--ones K] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
+         repro audit [--class atomic|registers|oblivious|general|mixed|tas|universal|flooding|snapshot|fd-boost|set-boost|derived-fd|all|broken-sym|broken-tasks|broken-impure] [--n N] [--f F] [--budget STATES]\n\
+         \n\
+         --n is in 1..=32; witness needs f + 1 < n; set-boost needs 1 <= k < n with k | n\n\
          \n\
          audit statically checks substrate contracts (task partition, determinism,\n  \
-         symmetry honesty, value symmetry, effect purity) component-locally — no exploration.\n  \
+         symmetry honesty, effect purity) component-locally — no exploration.\n  \
          exit codes: 0 clean, 1 violation, 2 unauditable\n\
          \n\
          check evaluates ';'-separated properties over the explored graph, e.g.\n  \
@@ -207,8 +225,14 @@ fn die(msg: &str) -> ! {
 }
 
 fn witness_cmd(args: &Args) -> ExitCode {
-    let n = args.usize_or("n", 2);
+    let n = args.n(2, 1);
     let f = args.usize_or("f", 0);
+    if f + 1 >= n {
+        fail(&format!(
+            "witness needs f + 1 < n (the refutation fails f + 1 processes and \
+             needs a survivor), got n={n}, f={f}"
+        ));
+    }
     let class = args.get("class").unwrap_or("atomic");
     let bounds = Bounds {
         threads: args.threads(),
@@ -261,9 +285,13 @@ fn certify_cmd(args: &Args) -> ExitCode {
     let construction = args.get("construction").unwrap_or("set-boost");
     let report = match construction {
         "set-boost" => {
-            let n = args.usize_or("n", 4);
+            let n = args.n(4, 1);
             let k = args.usize_or("k", 2);
-            let sys = protocols::set_boost::build(SetBoostParams { n, k, k_prime: 1 });
+            let params = SetBoostParams { n, k, k_prime: 1 };
+            if let Err(e) = params.check() {
+                fail(&format!("set-boost with n={n}, k={k} (k'=1): {e}"));
+            }
+            let sys = protocols::set_boost::build(params);
             let domain: Vec<Val> = (0..n as i64).map(Val::Int).collect();
             let mut inputs = all_assignments(n, &domain);
             if inputs.len() > 512 {
@@ -276,7 +304,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
             certify(&sys, &cfg)
         }
         "fd-boost" => {
-            let n = args.usize_or("n", 3);
+            let n = args.n(3, 2);
             let sys = protocols::fd_boost::build(n);
             let mut cfg = CertifyConfig::new(1, n - 1, all_binary_assignments(n));
             cfg.max_steps = 800_000;
@@ -313,7 +341,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
 }
 
 fn hook_cmd(args: &Args) -> ExitCode {
-    let n = args.usize_or("n", 2);
+    let n = args.n(2, 1);
     let f = args.usize_or("f", 0);
     let sys = protocols::doomed::doomed_atomic(n, f);
     let InitOutcome::Bivalent { assignment, map } =
@@ -352,7 +380,7 @@ fn hook_cmd(args: &Args) -> ExitCode {
 }
 
 fn census_cmd(args: &Args) -> ExitCode {
-    let n = args.usize_or("n", 3);
+    let n = args.n(3, 1);
     let f = args.usize_or("f", 1);
     let sys = protocols::doomed::doomed_atomic(n, f);
     match find_bivalent_init_sym(&sys, 2_000_000, args.threads(), args.symmetry()) {
@@ -368,14 +396,10 @@ fn census_cmd(args: &Args) -> ExitCode {
                     mass += k;
                     *hist.entry(k).or_insert(0) += 1;
                 }
-                let group_name = if group.values {
-                    format!("S_{} × S_vals", group.n)
-                } else {
-                    format!("S_{}", group.n)
-                };
                 println!(
-                    "orbit sizes under {group_name}: {} representative(s) covering {mass} \
+                    "orbit sizes under S_{}: {} representative(s) covering {mass} \
                      orbit state(s) ({:.2}× compression)",
+                    group.n,
                     map.state_count(),
                     mass as f64 / map.state_count() as f64,
                 );
@@ -554,11 +578,6 @@ fn audit_one(class: &str, n: Option<usize>, f: Option<usize>, cfg: &AuditConfig)
             "broken-sym",
             cfg,
         ),
-        "broken-values" => audit_system(
-            &protocols::broken::value_biased(n_or(2), f_or(0)),
-            "broken-values",
-            cfg,
-        ),
         "broken-impure" => audit_system(
             &protocols::broken::impure_direct(n_or(2), f_or(0)),
             "broken-impure",
@@ -572,13 +591,18 @@ fn audit_one(class: &str, n: Option<usize>, f: Option<usize>, cfg: &AuditConfig)
 }
 
 fn audit_cmd(args: &Args) -> ExitCode {
-    let n = args.get("n").map(|_| args.usize_or("n", 0));
+    let class = args.get("class").unwrap_or("all");
+    // The pairwise and flooding constructions need two processes.
+    let min_n = match class {
+        "general" | "flooding" | "fd-boost" | "derived-fd" | "all" => 2,
+        _ => 1,
+    };
+    let n = args.get("n").map(|_| args.n(0, min_n));
     let f = args.get("f").map(|_| args.usize_or("f", 0));
     let cfg = AuditConfig {
         max_component_states: args.usize_or("budget", AuditConfig::default().max_component_states),
         ..AuditConfig::default()
     };
-    let class = args.get("class").unwrap_or("all");
     let reports: Vec<AuditReport> = if class == "all" {
         AUDIT_ALL.iter().map(|c| audit_one(c, n, f, &cfg)).collect()
     } else {
@@ -608,7 +632,8 @@ fn check_cmd(args: &Args) -> ExitCode {
     let Some(expr) = args.positional.first() else {
         die("check wants a property expression, e.g. repro check 'always(safe)' --class atomic")
     };
-    let n = args.usize_or("n", 2);
+    let class = args.get("class").unwrap_or("atomic");
+    let n = args.n(2, if class == "general" { 2 } else { 1 });
     let f = args.usize_or("f", 0);
     let ones = args.usize_or("ones", 1);
     if ones > n {
@@ -616,7 +641,6 @@ fn check_cmd(args: &Args) -> ExitCode {
     }
     let threads = args.threads();
     let symmetry = args.symmetry();
-    let class = args.get("class").unwrap_or("atomic");
     match class {
         "atomic" => check_on(
             &protocols::doomed::doomed_atomic(n, f),

@@ -7,8 +7,8 @@
 //!   CLI (`repro audit` exits 0, prints no `VIOLATION` line).
 //! * **No false negatives.** Each deliberately broken fixture in
 //!   `protocols::broken` is caught by exactly the rule whose contract
-//!   it breaks — `symmetry-honesty`, `value-symmetry`,
-//!   `effect-purity`, `task-partition` — with a machine-readable
+//!   it breaks — `symmetry-honesty`, `effect-purity`,
+//!   `task-partition` — with a machine-readable
 //!   diagnostic and CLI exit 1.
 //!
 //! Plus the consumer-side teeth: `effective_symmetry` must *degrade*
@@ -23,7 +23,7 @@ use analysis::audit::{
 };
 use analysis::valence::ValenceMap;
 use ioa::canon::SymmetryMode;
-use protocols::broken::{impure_direct, lying_symmetry, overlapping_tasks, value_biased};
+use protocols::broken::{impure_direct, lying_symmetry, overlapping_tasks};
 use protocols::doomed::doomed_atomic;
 use protocols::set_boost::SetBoostParams;
 use spec::seq::TestAndSet;
@@ -157,38 +157,6 @@ fn impure_effect_is_caught_by_effect_purity() {
 }
 
 #[test]
-fn value_bias_is_caught_by_value_symmetry_alone() {
-    let report = audit_system(
-        &value_biased(2, 0),
-        "broken-values",
-        &AuditConfig::default(),
-    );
-    let rule = report.rule(RuleId::ValueSymmetry).unwrap();
-    assert_eq!(rule.status, RuleStatus::Violation, "got:\n{report}");
-    assert!(
-        rule.violations
-            .iter()
-            .any(|v| v.counterexample.contains("on_init")),
-        "the counterexample names the non-commuting hook, got:\n{report}"
-    );
-    assert_eq!(report.exit_code(), 1);
-    // The process-id symmetry claim is *honest* (every process sticks
-    // to 0 identically) — only the value claim is the lie.
-    for r in [
-        RuleId::TaskPartition,
-        RuleId::TaskDeterminism,
-        RuleId::SymmetryHonesty,
-        RuleId::EffectPurity,
-    ] {
-        assert_eq!(
-            report.rule(r).unwrap().status,
-            RuleStatus::Clean,
-            "rule {r} must stay clean on broken-values:\n{report}"
-        );
-    }
-}
-
-#[test]
 fn overlapping_tasks_are_caught_by_task_partition() {
     let report = audit_automaton(
         &overlapping_tasks(),
@@ -215,7 +183,6 @@ fn overlapping_tasks_are_caught_by_task_partition() {
 fn cli_flags_each_broken_class_with_its_rule_id() {
     for (class, rule) in [
         ("broken-sym", "symmetry-honesty"),
-        ("broken-values", "value-symmetry"),
         ("broken-impure", "effect-purity"),
         ("broken-tasks", "task-partition"),
     ] {
@@ -259,55 +226,6 @@ fn effective_symmetry_degrades_the_liar_and_trusts_the_honest() {
         effective_symmetry(&honest, SymmetryMode::Full),
         SymmetryMode::Full,
         "an honest substrate keeps its quotient"
-    );
-}
-
-#[test]
-fn effective_symmetry_degrades_stepwise_on_the_value_liar() {
-    // The value-biased fixture lies only about value symmetry: its
-    // process-id claim survives the audit, so a Values request must
-    // step down to Full — not all the way to Off.
-    let liar = value_biased(2, 0);
-    assert_eq!(
-        effective_symmetry(&liar, SymmetryMode::Values),
-        SymmetryMode::Full,
-        "a rejected value claim must degrade Values to Full"
-    );
-    assert_eq!(
-        effective_symmetry(&liar, SymmetryMode::Full),
-        SymmetryMode::Full,
-        "the honest process-id quotient survives"
-    );
-    let honest = doomed_atomic(2, 0);
-    assert_eq!(
-        effective_symmetry(&honest, SymmetryMode::Values),
-        SymmetryMode::Values,
-        "an honest substrate keeps the composed quotient"
-    );
-}
-
-#[test]
-fn values_request_on_the_value_liar_reproduces_the_full_build() {
-    // Requesting Values on the value-biased substrate must be
-    // indistinguishable from requesting Full: build_with_symmetry
-    // launders the mode through the audit, which keeps the honest S_n
-    // quotient and drops only the value group.
-    let sys = value_biased(2, 0);
-    let root = initialize(&sys, &InputAssignment::monotone(2, 1));
-    let full =
-        ValenceMap::build_with_symmetry(&sys, root.clone(), 1_000_000, 1, SymmetryMode::Full)
-            .unwrap();
-    let vals =
-        ValenceMap::build_with_symmetry(&sys, root, 1_000_000, 1, SymmetryMode::Values).unwrap();
-    assert_eq!(
-        full.state_count(),
-        vals.state_count(),
-        "the degraded build must equal the Full build"
-    );
-    assert_eq!(full.valences(), vals.valences(), "same valences");
-    assert!(
-        vals.sym().is_some_and(|g| !g.values),
-        "the surviving group is plain S_n"
     );
 }
 

@@ -52,29 +52,6 @@ fn maps(
     (sys, full, quot)
 }
 
-/// Like [`maps`] but with the composed `S_n × S_vals` quotient
-/// (`SymmetryMode::Values`) as the reduced side.
-fn vmaps(
-    n: usize,
-    f: usize,
-    ones: usize,
-    threads: usize,
-) -> (
-    CompleteSystem<system::process::direct::DirectConsensus>,
-    ValenceMap<system::process::direct::DirectConsensus>,
-    ValenceMap<system::process::direct::DirectConsensus>,
-) {
-    let sys = doomed_atomic(n, f);
-    let root = initialize(&sys, &InputAssignment::monotone(n, ones));
-    let full =
-        ValenceMap::build_with_symmetry(&sys, root.clone(), 1_000_000, threads, SymmetryMode::Off)
-            .unwrap();
-    let quot =
-        ValenceMap::build_with_symmetry(&sys, root, 1_000_000, threads, SymmetryMode::Values)
-            .unwrap();
-    (sys, full, quot)
-}
-
 /// |full| = Σ orbit sizes, orbit reps are exactly the quotient's
 /// states, and valence is constant on every orbit — for every mixed
 /// and unanimous root at n ∈ {2, 3}, single- and multi-threaded.
@@ -90,7 +67,7 @@ fn orbit_census_invariant_and_valences_agree() {
             let mut orbits: HashMap<DirectState, usize> = HashMap::new();
             for id in 0..full.state_count() {
                 let s = full.resolve(ioa::store::StateId::from_index(id));
-                let (rep, _, _) = system::packed::canonical_system_state_with(group, s);
+                let (rep, _) = system::packed::canonical_system_state_with(group, s);
                 *orbits.entry(rep).or_insert(0) += 1;
             }
             // Σ orbit sizes = |full| (grouping is a partition)…
@@ -133,9 +110,10 @@ fn orbit_census_invariant_and_valences_agree() {
 fn reduction_factors_match_measured_floors() {
     let cases = [
         // (n, f, ones, full, quotient, floor numerator)
-        (2, 0, 1, 34, 28, 1),  // n=2: barely anything to merge
-        (3, 1, 1, 188, 83, 2), // mixed root: ≥2×
-        (3, 1, 0, 125, 35, 3), // unanimous root: ≥3×
+        (2, 0, 1, 34, 28, 1),     // n=2: barely anything to merge
+        (3, 1, 1, 188, 83, 2),    // mixed root: ≥2×
+        (3, 1, 0, 125, 35, 3),    // unanimous root: ≥3×
+        (5, 3, 1, 4952, 365, 13), // the first n=5 sweep: ≥13×
     ];
     for (n, f, ones, full_count, quot_count, floor) in cases {
         let (_, full, quot) = maps(n, f, ones, 1);
@@ -321,212 +299,4 @@ fn quotient_witness_paths_lift_to_concrete_executions() {
             "lifted path must end in a state deciding {target}"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// The composed S_n × S_vals quotient (SymmetryMode::Values)
-// ---------------------------------------------------------------------
-
-/// The composed quotient obeys the same partition invariant as the
-/// plain `S_n` one — the full reachable set groups into value-orbits
-/// and the quotient interns exactly one representative per orbit (plus
-/// the raw root) — and the ν-mapped lookups recover every concrete
-/// state's valence *and* reachable-decision set, across thread counts.
-/// The decision sets are the sharp part: a concrete 0-deciding state
-/// may be interned as its 1-deciding mirror, and `ValenceMap` must
-/// relabel the answer on the way out.
-#[test]
-fn value_orbit_census_invariant_and_lookups_agree() {
-    for (n, f, ones) in [(2, 0, 1), (3, 1, 1), (3, 1, 0)] {
-        for threads in [1, 4] {
-            let (_, full, vquot) = vmaps(n, f, ones, threads);
-            assert!(vquot.symmetric(), "atomic substrate must pass both gates");
-            let group = vquot.sym().expect("symmetric map exposes its group");
-            assert!(group.values, "Values mode must arm the value group");
-
-            let mut orbits: HashMap<DirectState, usize> = HashMap::new();
-            for id in 0..full.state_count() {
-                let s = full.resolve(ioa::store::StateId::from_index(id));
-                let (rep, _, _) = system::packed::canonical_system_state_with(group, s);
-                *orbits.entry(rep).or_insert(0) += 1;
-            }
-            assert_eq!(orbits.values().sum::<usize>(), full.state_count());
-            // The raw root is interned as-is. When it is not its own
-            // composed representative, that representative may be a
-            // *virtual* ν-mirror no successor ever produces — then the
-            // raw root alone stands for its orbit; if some successor
-            // does reach the representative, both are interned.
-            let (root_rep, _, _) = system::packed::canonical_system_state_with(group, full.root());
-            let root_is_rep = &root_rep == full.root();
-            let rep_also_interned = !root_is_rep && vquot.contains(&root_rep);
-            assert_eq!(
-                vquot.state_count(),
-                orbits.len() + usize::from(rep_also_interned),
-                "n={n} ones={ones} threads={threads}: value quotient is not one state per orbit"
-            );
-            for rep in orbits.keys() {
-                assert!(
-                    vquot.contains(rep) || *rep == root_rep,
-                    "orbit representative missing from the value quotient"
-                );
-            }
-
-            for id in 0..full.state_count() {
-                let sid = ioa::store::StateId::from_index(id);
-                let s = full.resolve(sid);
-                assert_eq!(
-                    full.valence_id(sid),
-                    vquot.valence(s),
-                    "n={n} ones={ones} threads={threads}: valence differs modulo value-orbit"
-                );
-                assert_eq!(
-                    full.reachable_decisions_id(sid),
-                    vquot.reachable_decisions(s),
-                    "n={n} ones={ones} threads={threads}: decision set not relabeled on lookup"
-                );
-            }
-        }
-    }
-}
-
-/// The composed quotient's interned-state counts, pinned exactly, and
-/// the regime structure behind them: mixed roots tighten strictly over
-/// plain `S_n` (value-swapped futures merge), unanimous roots gain
-/// nothing (the reachable set never meets its 0 ↔ 1 mirror), and the
-/// first `n = 5` sweep completes comfortably inside the default budget.
-#[test]
-fn value_quotient_counts_tighten_mixed_roots() {
-    let cases = [
-        // (n, f, ones, S_n count, S_n × S_vals count)
-        (2, 0, 1, 28, 15),
-        (3, 1, 1, 83, 61),
-        (3, 1, 0, 35, 35), // unanimous: stabilizer-limited, no gain
-        (4, 2, 1, 188, 153),
-        (5, 3, 1, 365, 314),
-    ];
-    for (n, f, ones, sn_count, composed_count) in cases {
-        let sys = doomed_atomic(n, f);
-        let root = initialize(&sys, &InputAssignment::monotone(n, ones));
-        let quot =
-            ValenceMap::build_with_symmetry(&sys, root.clone(), 1_000_000, 1, SymmetryMode::Full)
-                .unwrap();
-        let vquot = ValenceMap::build_with_symmetry(&sys, root, 1_000_000, 1, SymmetryMode::Values)
-            .unwrap();
-        assert_eq!(
-            quot.state_count(),
-            sn_count,
-            "n={n} ones={ones}: S_n orbit count drifted"
-        );
-        assert_eq!(
-            vquot.state_count(),
-            composed_count,
-            "n={n} ones={ones}: composed orbit count drifted"
-        );
-    }
-}
-
-/// Theorem verdicts and swap-invariant property verdicts are unchanged
-/// under the composed quotient. The property list deliberately sticks
-/// to 0 ↔ 1-invariant observations (`safe` over a mixed root is one:
-/// both values are valid inputs, and agreement is value-blind) —
-/// value-*naming* atoms are only meaningful on the quotient through
-/// the ν-mapped valence lookups pinned above.
-#[test]
-fn verdicts_agree_under_value_quotient() {
-    for (n, f) in [(2, 0), (3, 1)] {
-        let sys = doomed_atomic(n, f);
-        let w_off = find_witness(&sys, f, Bounds::default().with_symmetry(SymmetryMode::Off))
-            .expect("full-mode witness");
-        let w_vals = find_witness(
-            &sys,
-            f,
-            Bounds::default().with_symmetry(SymmetryMode::Values),
-        )
-        .expect("value-quotient witness");
-        assert_eq!(
-            std::mem::discriminant(&w_off),
-            std::mem::discriminant(&w_vals),
-            "n={n}: witness variant changed under the value quotient"
-        );
-        assert!(
-            matches!(w_vals, ImpossibilityWitness::HookRefutation { .. }),
-            "n={n}: doomed atomic substrate must keep the hook argument"
-        );
-    }
-
-    let (sys, full, vquot) = vmaps(3, 1, 1, 1);
-    let assignment = InputAssignment::monotone(3, 1);
-    let props = vec![
-        Prop::always(atoms::safe(assignment)),
-        Prop::eventually(atoms::decided()),
-        Prop::exists_path(atoms::decided()),
-        Prop::now(atoms::bivalent()),
-    ];
-    let g_full = SystemGraph::new(&sys, &full);
-    let g_vquot = SystemGraph::new(&sys, &vquot);
-    let r_full = evaluate_batch(&g_full, &props);
-    let r_vquot = evaluate_batch(&g_vquot, &props);
-    let verdicts =
-        |r: &analysis::prop::BatchReport| r.results.iter().map(|e| e.verdict).collect::<Vec<_>>();
-    assert_eq!(verdicts(&r_full), verdicts(&r_vquot));
-}
-
-/// A witness path over the composed quotient must still lift to a
-/// concrete execution: `lift_path` conjugates each step through the
-/// accumulated `(τ, ν)` pair, so every lifted transition replays
-/// through the deep system from the raw root and the walk ends in a
-/// genuinely decided state. (The *decided value* of the lifted endpoint
-/// may be the 0 ↔ 1 mirror of the representative's — that is the
-/// quotient working as designed, not a soundness gap.)
-#[test]
-fn value_quotient_witness_paths_lift_to_concrete_executions() {
-    let (sys, _, vquot) = vmaps(3, 1, 1, 1);
-    let g = SystemGraph::new(&sys, &vquot);
-    let ev = evaluate(&g, &Prop::exists_path(atoms::decided()));
-    let Some(Witness::Path(path)) = ev.witness else {
-        panic!("exists_path(decided) must yield a path witness");
-    };
-    let (states, tasks) = g.lift_path(&path);
-    assert_eq!(states.len(), path.len());
-    assert_eq!(tasks.len(), path.len().saturating_sub(1));
-    assert_eq!(
-        &states[0],
-        vquot.root(),
-        "lifted path starts at the raw root"
-    );
-    for (k, t) in tasks.iter().enumerate() {
-        assert!(
-            sys.succ_all(t, &states[k])
-                .into_iter()
-                .any(|(_, s2)| s2 == states[k + 1]),
-            "lifted step {k} ({t}) does not replay through the deep system"
-        );
-    }
-    assert!(
-        !sys.decided_values(states.last().unwrap()).is_empty(),
-        "lifted path must end in a decided state"
-    );
-}
-
-/// Substrates outside the symmetry gate stay outside under `Values`
-/// too: requesting the composed quotient on the TOB and FD substrates
-/// (whose services name process ids in their responses) yields the
-/// bit-identical full exploration.
-#[test]
-fn value_mode_degenerates_with_the_id_gate() {
-    fn check<P: ProcessAutomaton>(sys: &CompleteSystem<P>) {
-        assert!(!PackedSystem::symmetric_system(sys));
-        let n = sys.process_count();
-        let root = initialize(sys, &InputAssignment::monotone(n, 1));
-        let off =
-            ValenceMap::build_with_symmetry(sys, root.clone(), 1_000_000, 1, SymmetryMode::Off)
-                .unwrap();
-        let vals =
-            ValenceMap::build_with_symmetry(sys, root, 1_000_000, 1, SymmetryMode::Values).unwrap();
-        assert!(!vals.symmetric(), "gate must disarm the canonicalizer");
-        assert_eq!(off.state_count(), vals.state_count());
-        assert_eq!(off.valences(), vals.valences());
-    }
-    check(&doomed_oblivious(3, 1));
-    check(&doomed_general(3, 1));
 }

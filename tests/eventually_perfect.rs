@@ -29,15 +29,6 @@ struct MonState {
     decided: Option<Val>,
 }
 
-impl spec::RelabelValues for MonState {
-    fn relabel_values(&self, vp: spec::ValuePerm) -> MonState {
-        MonState {
-            latest: self.latest.clone(),
-            decided: self.decided.relabel_values(vp),
-        }
-    }
-}
-
 impl ProcessAutomaton for Monitor {
     type State = MonState;
 

@@ -6,7 +6,9 @@
 //! ("unknown") — not the full usage dump, and not a panic — while
 //! well-formed invocations keep their documented exit codes. The
 //! `--symmetry` flag must accept `full`/`off` and produce the same
-//! verdicts either way on an id-symmetric candidate.
+//! verdicts either way on an id-symmetric candidate. Out-of-range
+//! numeric flags must be refused with one `error:` line and exit 2
+//! before the library's own assertions can panic.
 
 use std::process::{Command, Output};
 
@@ -158,4 +160,81 @@ fn bad_frontier_value_gets_usage() {
     let err = stderr_of(&out);
     assert!(err.contains("--frontier"), "got: {err:?}");
     assert!(err.contains("usage:"), "got: {err:?}");
+}
+
+#[test]
+fn values_is_no_longer_a_symmetry_mode() {
+    let out = repro(&["witness", "--symmetry", "values"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("--symmetry wants full|off"), "got: {err:?}");
+    assert!(err.contains("usage:"), "got: {err:?}");
+}
+
+#[test]
+fn stale_symmetry_env_value_is_named_once_on_stderr() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["witness", "--class", "atomic", "--n", "2", "--f", "0"])
+        .env("SYMMETRY", "values")
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert_eq!(
+        err.lines().filter(|l| l.contains("full|off")).count(),
+        1,
+        "one warning line naming full|off, got: {err:?}"
+    );
+}
+
+/// One `error:` line on stderr, exit 2, no panic.
+fn assert_refused(args: &[&str], needle: &str) {
+    let out = repro(args);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err:?}");
+    assert_eq!(err.lines().count(), 1, "{args:?}: {err:?}");
+    assert!(err.starts_with("error: "), "{args:?}: {err:?}");
+    assert!(err.contains(needle), "{args:?}: {err:?}");
+}
+
+#[test]
+fn witness_refuses_more_processes_than_the_packed_layout_holds() {
+    assert_refused(
+        &["witness", "--n", "40", "--f", "1"],
+        "--n must be in 1..=32",
+    );
+}
+
+#[test]
+fn witness_refuses_zero_processes() {
+    assert_refused(&["witness", "--n", "0"], "--n must be in 1..=32");
+}
+
+#[test]
+fn witness_refuses_a_refutation_without_a_survivor() {
+    assert_refused(&["witness", "--n", "3", "--f", "5"], "f + 1 < n");
+}
+
+#[test]
+fn certify_fd_boost_refuses_fewer_than_two_processes() {
+    assert_refused(
+        &["certify", "--construction", "fd-boost", "--n", "0"],
+        "--n must be in 2..=32",
+    );
+}
+
+#[test]
+fn certify_set_boost_refuses_parameters_the_construction_rejects() {
+    assert_refused(
+        &[
+            "certify",
+            "--construction",
+            "set-boost",
+            "--n",
+            "1",
+            "--k",
+            "0",
+        ],
+        "set-boost with n=1, k=0",
+    );
 }

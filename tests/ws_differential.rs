@@ -137,7 +137,7 @@ fn complete_quotient_graphs_match_under_full_symmetry() {
     let sys = doomed_atomic(3, 1);
     let (packed, proot, seq) = seq_and_ws(&sys, 1, SymmetryMode::Full);
     assert!(
-        packed.symmetry_mode().is_full(),
+        packed.symmetry_mode().reduces(),
         "atomic substrate must pass the symmetry gate"
     );
     for threads in [2, 4, 8] {
