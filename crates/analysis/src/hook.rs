@@ -268,7 +268,7 @@ fn extract_hook<P: ProcessAutomaton>(
     // A descendant of α in which some process decides v̄ — exists
     // because α is bivalent.
     let (path, _) = bfs_in_map(map, scratch, cur, None, |id| {
-        sys.decided_values(map.resolve(id)).contains(&wanted)
+        map.has_decided_id(id, &wanted)
     })
     .expect("bivalent states reach both decisions");
 

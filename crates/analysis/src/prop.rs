@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use system::build::{CompleteSystem, SystemState};
-use system::consensus::{check_safety, InputAssignment};
+use system::consensus::InputAssignment;
 use system::packed::{canonical_system_state_with, permute_system_state, permute_task};
 use system::process::ProcessAutomaton;
 use system::Task;
@@ -1387,51 +1387,55 @@ pub mod atoms {
     /// Some process has decided in this state.
     pub fn decided<'g, P: ProcessAutomaton>() -> SysAtom<'g, P> {
         Atom::new("decided", |g: &SystemGraph<'g, P>, id| {
-            !g.sys().decided_values(g.map().resolve(id)).is_empty()
+            g.map().decisions_id(id).any(|d| d.is_some())
         })
     }
 
     /// Some process has decided value `v` in this state.
     pub fn decided_value<'g, P: ProcessAutomaton>(v: i64) -> SysAtom<'g, P> {
-        Atom::new(
-            format!("decided({v})"),
-            move |g: &SystemGraph<'g, P>, id| {
-                g.sys()
-                    .decided_values(g.map().resolve(id))
-                    .contains(&Val::Int(v))
-            },
-        )
+        let name = format!("decided({v})");
+        let v = Val::Int(v);
+        Atom::new(name, move |g: &SystemGraph<'g, P>, id| {
+            g.map().has_decided_id(id, &v)
+        })
     }
 
-    /// Process `i` has decided in this state.
+    /// Process `i` has decided in this state. False for every `i`
+    /// outside `0..n`, which names no process.
     pub fn proc_decided<'g, P: ProcessAutomaton>(i: usize) -> SysAtom<'g, P> {
         Atom::new(
             format!("proc_decided({i})"),
-            move |g: &SystemGraph<'g, P>, id| {
-                g.sys().decision(g.map().resolve(id), ProcId(i)).is_some()
-            },
+            move |g: &SystemGraph<'g, P>, id| g.map().decision_id(id, ProcId(i)).is_some(),
         )
     }
 
     /// No agreement/validity violation at this state, under the given
-    /// input assignment (the stage-1 safety scan's predicate).
+    /// input assignment (the stage-1 safety scan's predicate): exactly
+    /// `check_safety(..).is_none()` — every decided value is some
+    /// process's input, and no two processes decided differently.
     pub fn safe<'g, P: ProcessAutomaton>(assignment: InputAssignment) -> SysAtom<'g, P> {
+        let inputs = assignment.values();
         Atom::new("safe", move |g: &SystemGraph<'g, P>, id| {
-            check_safety(g.sys(), g.map().resolve(id), &assignment).is_none()
+            let mut first: Option<&Val> = None;
+            g.map()
+                .decisions_id(id)
+                .flatten()
+                .all(|v| inputs.contains(v) && *first.get_or_insert(v) == v)
         })
     }
 
     /// No process has failed in this state.
     pub fn no_failures<'g, P: ProcessAutomaton>() -> SysAtom<'g, P> {
         Atom::new("no_failures", |g: &SystemGraph<'g, P>, id| {
-            g.map().resolve(id).failed.is_empty()
+            g.map().failed_mask_id(id) == 0
         })
     }
 
-    /// Process `i` is marked failed in this state.
+    /// Process `i` is marked failed in this state. False for every `i`
+    /// outside `0..n`, which names no process.
     pub fn failed<'g, P: ProcessAutomaton>(i: usize) -> SysAtom<'g, P> {
         Atom::new(format!("failed({i})"), move |g: &SystemGraph<'g, P>, id| {
-            g.map().resolve(id).failed.contains(&ProcId(i))
+            i < g.sys().process_count() && (g.map().failed_mask_id(id) >> i) & 1 == 1
         })
     }
 

@@ -10,20 +10,23 @@
 //! the graph `G(C)` (Section 3.3) followed by a backward fixpoint.
 //!
 //! The reachable graph is interned once per root as an
-//! [`ExploredGraph`] over dense [`StateId`]s, and the decided-set and
-//! valence tables are flat `Vec`s indexed by id. Every downstream pass
-//! — the Lemma 4 initialization scan, the Lemma 5 hook construction,
-//! the `G(C)` census, the witness safety scan — shares this one graph
-//! instead of re-hashing and re-cloning full `SystemState`s.
+//! [`ExploredGraph`] over dense [`StateId`]s of packed states, and the
+//! reachable-decision masks and valence table are flat `Vec`s indexed
+//! by id. Every downstream pass — the Lemma 4 initialization scan, the
+//! Lemma 5 hook construction, the `G(C)` census, the witness safety
+//! scan — shares this one graph, reading component ids where it can
+//! and decoding a full `SystemState` only for the ids it inspects
+//! deeply.
 
 use ioa::canon::{SymGroup, SymmetryMode};
 use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph, FrontierMode};
-use ioa::store::{fx_hash, StateId, StateStore};
+use ioa::store::{StateId, StateStore};
 use ioa::Csr;
-use spec::Val;
-use std::collections::BTreeSet;
+use spec::{ProcId, Val};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 use system::build::{CompleteSystem, SystemState};
-use system::packed::{canonical_system_state, PackedSystem};
+use system::packed::{canonical_system_state, Decoder, PackedState, PackedSystem};
 use system::process::ProcessAutomaton;
 use system::{Action, Task};
 
@@ -101,16 +104,27 @@ impl std::error::Error for Truncated {}
 /// Self-loop transitions are skipped at exploration time: a stuttering
 /// step never changes the decisions reachable from a configuration.
 ///
-/// The graph is *explored* over the component-interned representation
-/// ([`PackedSystem`], DESIGN §2.1.2) — successors there are flat
-/// id-vector copies instead of deep `BTreeMap` clones — and the packed
-/// states are decoded back into [`SystemState`]s in id order once
-/// exploration finishes, so every downstream consumer keeps the deep
-/// view. Ids, edges, parents and stats are bit-identical to exploring
-/// the deep representation directly (pinned by the differential tests).
+/// The map keeps the explorer's *packed* arena ([`PackedSystem`],
+/// DESIGN §2.1.2): each state is a flat vector of component ids into
+/// sub-arenas shared with the packed system through a [`Decoder`]
+/// handle. Valence, reachable decisions, each process's recorded
+/// decision and the failed set are answered from those ids — a
+/// decision is computed once per distinct process component, not once
+/// per state. [`ValenceMap::resolve`] decodes a state back into a deep
+/// [`SystemState`] only when asked, once per id; the root is stored
+/// decoded from the start. Ids, edges, parents and stats are
+/// bit-identical to exploring the deep representation directly (pinned
+/// by the differential tests).
 #[derive(Debug)]
 pub struct ValenceMap<P: ProcessAutomaton> {
-    store: StateStore<SystemState<P::State>>,
+    /// The packed states, in id (discovery) order.
+    store: StateStore<PackedState>,
+    /// Decodes and looks up packed states against the component
+    /// sub-arenas the packed ids index.
+    decoder: Decoder<P::State>,
+    /// `decoded[id]` = the deep form of `id`, materialized on first
+    /// [`ValenceMap::resolve`].
+    decoded: Vec<OnceLock<Box<SystemState<P::State>>>>,
     root: StateId,
     /// Flat CSR adjacency: row `id` holds the `(task, action,
     /// successor)` transitions out of `id`, in task order. One
@@ -126,17 +140,31 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     /// BFS tree: the step that first discovered each non-root state.
     parent: Vec<Option<(StateId, Task, Action)>>,
     stats: ExploreStats,
-    /// `decided[id]` = the decision values reachable from `id`.
-    decided: Vec<BTreeSet<Val>>,
-    /// `valence[id]`, precomputed from `decided` — the census becomes a
+    /// `decisions[pc]` = the decision recorded by process component
+    /// `pc`, for every process component interned when the map was
+    /// built.
+    decisions: Vec<Option<Val>>,
+    /// `reach[id]` = the bit-lane mask of the decision values reachable
+    /// from `id`.
+    reach: Vec<u64>,
+    /// The reachable-decisions set of every distinct mask in `reach`.
+    reach_sets: BTreeMap<u64, BTreeSet<Val>>,
+    /// `valence[id]`, precomputed from `reach` — the census becomes a
     /// flat array scan.
     valence: Vec<Valence>,
     /// The symmetry group the explored graph was quotiented by
     /// (`None` when exploration ran concretely). When present, every
     /// non-root state in the map is an orbit representative, and
-    /// lookups canonicalize their argument on a raw miss.
+    /// lookups of anything but the root canonicalize their argument.
     sym: Option<SymGroup>,
 }
+
+// Compile-time audit: a finished map is shared read-only across
+// threads; lazy decoding goes through `OnceLock`, not interior `Cell`s.
+const _: () = {
+    const fn is_send_sync<T: Send + Sync>() {}
+    is_send_sync::<ValenceMap<system::process::direct::DirectConsensus>>();
+};
 
 impl<P: ProcessAutomaton> ValenceMap<P> {
     /// Explores every failure-free extension of `root` (at most
@@ -267,20 +295,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             });
         }
         let parts = graph.into_parts();
-
-        // Decode each packed state back into the deep representation,
-        // in id order: interning in insertion order reproduces the
-        // packed ids exactly (the encoding is injective, so every
-        // decode is fresh), and the edge/parent tables carry over
-        // verbatim.
-        let mut store = StateStore::with_capacity(parts.store.len());
-        for ps in parts.store.states() {
-            let s = packed.decode(ps);
-            let h = fx_hash(&s);
-            let (_, fresh) = store.intern_prehashed(s, h);
-            debug_assert!(fresh, "packed states decode injectively");
-        }
-        let root = parts.roots[0];
+        let root_id = parts.roots[0];
         let edges = parts.edges;
 
         // Reverse CSR: one counting-sort transpose of the flat edge
@@ -288,22 +303,18 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         let preds: Csr<StateId> =
             edges.reversed(|e| e.2.index(), |src, _| StateId::from_index(src));
 
-        // Backward fixpoint: decided(s) = own decisions ∪ ⋃ decided(s').
-        // The sweep runs on the shared bit-lane union engine
-        // (`ioa::fixpoint::backward_union`, the same machinery the
-        // property evaluator batches its backward analyses on): the
-        // small universe of decision values is interned into bit
-        // lanes, each state's mask is seeded with its own decisions,
-        // and the fixpoint propagates whole masks over the reverse
-        // edges. Set union is confluent, so the result is identical to
-        // the former per-`BTreeSet` worklist, element for element.
-        let own: Vec<BTreeSet<Val>> = store
-            .ids()
-            .map(|id| sys.decided_values(store.resolve(id)))
-            .collect();
-        let universe: Vec<Val> = own
+        // Decisions are recorded in process states (Section 2.2.1), so
+        // a state's own decisions are a function of its process
+        // component ids: decide each distinct process component once,
+        // intern the decided values into bit lanes, and OR the lanes of
+        // a state's `n` process slots.
+        let n = sys.process_count();
+        let decoder = packed.decoder();
+        let decisions = decoder.proc_table(|st| sys.process_automaton().decision(st));
+        let universe: Vec<Val> = decisions
             .iter()
-            .flat_map(|d| d.iter().cloned())
+            .flatten()
+            .cloned()
             .collect::<BTreeSet<Val>>()
             .into_iter()
             .collect();
@@ -312,36 +323,69 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             "decision-value universe exceeds {} bit lanes",
             ioa::fixpoint::MAX_LANES
         );
-        let mut masks: Vec<u64> = own
+        let lane: Vec<u64> = decisions
             .iter()
             .map(|d| {
-                d.iter().fold(0u64, |m, v| {
-                    m | 1 << universe.binary_search(v).expect("value interned")
+                d.as_ref().map_or(0, |v| {
+                    1 << universe.binary_search(v).expect("value interned")
                 })
             })
             .collect();
-        ioa::fixpoint::backward_union(&preds, &mut masks);
-        let decided: Vec<BTreeSet<Val>> = masks
+        let mut reach: Vec<u64> = parts
+            .store
+            .states()
             .iter()
+            .map(|ps| {
+                ps.comps()[..n]
+                    .iter()
+                    .fold(0, |m, &pc| m | lane[pc as usize])
+            })
+            .collect();
+
+        // Backward fixpoint: decided(s) = own decisions ∪ ⋃ decided(s').
+        // The sweep runs on the shared bit-lane union engine
+        // (`ioa::fixpoint::backward_union`, the same machinery the
+        // property evaluator batches its backward analyses on),
+        // propagating whole masks over the reverse edges. Set union is
+        // confluent, so the result is identical to a per-state
+        // `BTreeSet` worklist, element for element.
+        ioa::fixpoint::backward_union(&preds, &mut reach);
+        let reach_sets: BTreeMap<u64, BTreeSet<Val>> = reach
+            .iter()
+            .copied()
+            .collect::<BTreeSet<u64>>()
+            .into_iter()
             .map(|m| {
-                universe
+                let set = universe
                     .iter()
                     .enumerate()
                     .filter(|(j, _)| m & (1 << j) != 0)
                     .map(|(_, v)| v.clone())
-                    .collect()
+                    .collect();
+                (m, set)
             })
             .collect();
+        let valence = reach.iter().map(|m| classify(&reach_sets[m])).collect();
 
-        let valence = decided.iter().map(classify).collect();
+        // Only the root is decoded up front — and it is the caller's
+        // own state, which the packed root decodes to.
+        let decoded: Vec<OnceLock<Box<SystemState<P::State>>>> =
+            parts.store.ids().map(|_| OnceLock::new()).collect();
+        decoded[root_id.index()]
+            .set(Box::new(root))
+            .expect("fresh slot");
         Ok(ValenceMap {
-            store,
-            root,
+            store: parts.store,
+            decoder,
+            decoded,
+            root: root_id,
             edges,
             preds,
             parent: parts.parent,
             stats: parts.stats,
-            decided,
+            decisions,
+            reach,
+            reach_sets,
             valence,
             sym: packed.symmetry_group(),
         })
@@ -349,7 +393,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
 
     /// The root state the map was built from.
     pub fn root(&self) -> &SystemState<P::State> {
-        self.store.resolve(self.root)
+        self.resolve(self.root)
     }
 
     /// The root's id.
@@ -375,27 +419,46 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// A deterministic accounting of the retained graph arenas:
     /// `(peak_interned_states, arena_bytes)`. The state store only ever
     /// grows, so the final count *is* the peak. Bytes sum the inline
-    /// sizes of every retained arena — state headers, both CSR edge
-    /// arenas, the BFS tree, the valence array and the decision table.
-    /// Heap owned
-    /// *behind* component states (service buffers, deep `Val`s) is
+    /// sizes of every retained arena — the packed states with their
+    /// component-id slots, one decode slot per state, both CSR edge
+    /// arenas, the BFS tree, the reachable-decision masks and valence
+    /// array, the per-component decision table and the per-mask
+    /// decision sets. Heap owned *behind* those (the shared component
+    /// sub-arenas, states decoded on demand, deep `Val`s) is
     /// deliberately not traversed: the figure is a stable, allocator-
     /// independent lower bound for regression tracking, not an RSS
     /// report.
     #[must_use]
     pub fn footprint(&self) -> (u64, u64) {
         use std::mem::size_of;
-        let bytes = self.state_count() * size_of::<SystemState<P::State>>()
+        let bytes = self
+            .store
+            .states()
+            .iter()
+            .map(|ps| size_of::<PackedState>() + size_of_val(ps.comps()))
+            .sum::<usize>()
+            + self.decoded.len() * size_of::<OnceLock<Box<SystemState<P::State>>>>()
             + self.edges.entry_count() * size_of::<(Task, Action, StateId)>()
             + self.preds.entry_count() * size_of::<StateId>()
             + self.parent.len() * size_of::<Option<(StateId, Task, Action)>>()
+            + self.reach.len() * size_of::<u64>()
             + self.valence.len() * size_of::<Valence>()
+            + self.decisions.len() * size_of::<Option<Val>>()
             + self
-                .decided
-                .iter()
-                .map(|d| d.len() * size_of::<Val>())
+                .reach_sets
+                .values()
+                .map(|d| size_of::<u64>() + d.len() * size_of::<Val>())
                 .sum::<usize>();
         (self.state_count() as u64, bytes as u64)
+    }
+
+    /// How many states have been decoded into deep [`SystemState`]s so
+    /// far: the root, plus every id [`ValenceMap::resolve`] was asked
+    /// for. Valence, decision, failure and safety queries by id never
+    /// decode.
+    #[must_use]
+    pub fn decoded(&self) -> usize {
+        self.decoded.iter().filter(|s| s.get().is_some()).count()
     }
 
     /// The BFS-tree step that first discovered `id` (`None` for roots).
@@ -420,22 +483,61 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.id_of(s).is_some()
     }
 
-    /// The id of `s` within the explored space, if present. In a
-    /// quotient map the raw lookup (which covers the non-canonical
-    /// root) falls back to the orbit representative, so any concrete
-    /// state whose orbit was explored resolves.
+    /// The id of `s` within the explored space, if present. A packed
+    /// lookup that interns nothing: a state with a component the
+    /// exploration never produced answers `None` straight away. In a
+    /// quotient map every non-root state is an orbit representative, so
+    /// anything but the (raw) root is looked up by its canonical form —
+    /// any concrete state whose orbit was explored resolves.
     pub fn id_of(&self, s: &SystemState<P::State>) -> Option<StateId> {
-        if let Some(id) = self.store.get(s) {
-            return Some(id);
-        }
-        let group = self.sym?;
-        self.store.get(&canonical_system_state(group, s))
+        let packed = match self.sym {
+            None => self.decoder.lookup(s)?,
+            Some(_) if s == self.root() => return Some(self.root),
+            Some(group) => self.decoder.lookup(&canonical_system_state(group, s))?,
+        };
+        self.store.get(&packed)
     }
 
-    /// Resolve an id back to its state.
+    /// Resolve an id back to its state, decoding it on first use (once
+    /// per id; later calls return the same state).
     #[inline]
     pub fn resolve(&self, id: StateId) -> &SystemState<P::State> {
-        self.store.resolve(id)
+        self.decoded[id.index()]
+            .get_or_init(|| Box::new(self.decoder.decode(self.store.resolve(id))))
+    }
+
+    /// The decision each process has recorded at `id`, in process
+    /// order, read from the packed process slots.
+    pub fn decisions_id(&self, id: StateId) -> impl Iterator<Item = Option<&Val>> {
+        self.proc_slots(id)
+            .iter()
+            .map(|&pc| self.decisions[pc as usize].as_ref())
+    }
+
+    /// The decision process `i` has recorded at `id`, read from its
+    /// packed process slot. `None` when `P_i` is undecided — and for
+    /// every `i` outside `0..n`, which names no process.
+    #[inline]
+    pub fn decision_id(&self, id: StateId, i: ProcId) -> Option<&Val> {
+        let pc = *self.proc_slots(id).get(i.0)?;
+        self.decisions[pc as usize].as_ref()
+    }
+
+    /// Whether some process has decided `v` at `id`.
+    pub fn has_decided_id(&self, id: StateId, v: &Val) -> bool {
+        self.decisions_id(id).any(|d| d == Some(v))
+    }
+
+    /// The process component ids of `id`, one per process.
+    fn proc_slots(&self, id: StateId) -> &[u32] {
+        &self.store.resolve(id).comps()[..self.decoder.process_count()]
+    }
+
+    /// The failed set at `id` as a bitmask: bit `i` set iff `fail_i`
+    /// has occurred.
+    #[inline]
+    pub fn failed_mask_id(&self, id: StateId) -> u32 {
+        self.store.resolve(id).failed_mask()
     }
 
     fn require(&self, s: &SystemState<P::State>) -> StateId {
@@ -456,7 +558,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// The decision values reachable failure-free from `id`.
     #[inline]
     pub fn reachable_decisions_id(&self, id: StateId) -> &BTreeSet<Val> {
-        &self.decided[id.index()]
+        &self.reach_sets[&self.reach[id.index()]]
     }
 
     /// The valence of `s` (Section 3.2).
@@ -515,7 +617,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.successors(id)
             .iter()
             .find(|(t2, _, _)| t2 == t)
-            .map(|(_, _, s2)| self.store.resolve(*s2).clone())
+            .map(|(_, _, s2)| self.resolve(*s2).clone())
     }
 }
 

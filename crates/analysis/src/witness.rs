@@ -226,9 +226,10 @@ impl From<Truncated> for WitnessError {
 /// Scans every state of `map` for an agreement/validity violation.
 ///
 /// Expressed as the invariant `always(safe)` over the explored graph
-/// and evaluated by [`crate::prop`]: the counterexample witness ends
-/// at the first violating id in discovery order — exactly the state
-/// the legacy linear id-scan returned — and `check_safety` on that
+/// and evaluated by [`crate::prop`], whose `safe` atom reads the map's
+/// packed decisions: the counterexample witness ends at the first
+/// violating id in discovery order — exactly the state the legacy
+/// linear id-scan returned — and `check_safety` on that one (decoded)
 /// state re-derives the violation payload.
 fn safety_scan<P: ProcessAutomaton>(
     sys: &CompleteSystem<P>,

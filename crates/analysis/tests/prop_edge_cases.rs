@@ -234,3 +234,40 @@ fn failed_process_masks() {
         );
     }
 }
+
+#[test]
+fn process_indices_outside_the_system_name_no_process() {
+    // `proc_decided(i)` and `failed(i)` for i ≥ n answer false on every
+    // state instead of panicking or reading a service slot or the
+    // failed mask as a process — including i ≥ 32, past the mask width.
+    let sys = doomed_atomic(3, 1);
+    let assignment = InputAssignment::monotone(3, 1);
+    let crashed = sys.fail(&initialize(&sys, &assignment), ProcId(0));
+    let map = ValenceMap::build(&sys, crashed, 500_000).expect("small system");
+    let graph = SystemGraph::new(&sys, &map);
+    for i in [3, 4, 7, 31, 32, 40, usize::MAX] {
+        let report = evaluate_batch(
+            &graph,
+            &[
+                Prop::exists_path(atoms::proc_decided(i)),
+                Prop::exists_path(atoms::failed(i)),
+            ],
+        );
+        assert_eq!(
+            report.results[0].verdict,
+            Verdict::Fails,
+            "proc_decided({i})"
+        );
+        assert_eq!(report.results[1].verdict, Verdict::Fails, "failed({i})");
+    }
+    // In range, both atoms still see the state.
+    let report = evaluate_batch(
+        &graph,
+        &[
+            Prop::exists_path(atoms::proc_decided(2)),
+            Prop::always(atoms::failed(0)),
+        ],
+    );
+    assert_eq!(report.results[0].verdict, Verdict::Holds);
+    assert_eq!(report.results[1].verdict, Verdict::Holds);
+}

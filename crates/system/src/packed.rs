@@ -43,7 +43,7 @@ use spec::{Inv, ProcId, Resp, SvcId};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// The largest process count a [`PackedSystem`] supports: the failed
 /// set is packed as a `u32` bitmask.
@@ -67,6 +67,13 @@ impl PackedState {
     #[must_use]
     pub fn comps(&self) -> &[u32] {
         &self.comps
+    }
+
+    /// The failed-set bitmask slot (bit `i` set iff `fail_i` has
+    /// occurred) — always the last slot.
+    #[must_use]
+    pub fn failed_mask(&self) -> u32 {
+        self.comps[self.comps.len() - 1]
     }
 
     /// A copy with `slot` replaced by `id` — the id-splice a cached
@@ -93,14 +100,17 @@ impl PackedState {
 /// The two sub-arenas grow monotonically behind [`RwLock`]s —
 /// transition enumeration takes read locks, interning fresh components
 /// takes write locks (always `procs` before `svcs`). The explorer's
-/// scoped workers share one `PackedSystem` across threads.
+/// scoped workers share one `PackedSystem` across threads, and each
+/// [`Decoder`] handed out by [`PackedSystem::decoder`] shares the
+/// arenas by `Arc`, so packed states stay decodable after the packed
+/// system itself is gone.
 #[derive(Debug)]
 pub struct PackedSystem<'s, P: ProcessAutomaton> {
     sys: &'s CompleteSystem<P>,
     n: usize,
     m: usize,
-    procs: RwLock<Interner<P::State>>,
-    svcs: RwLock<Interner<SvcState>>,
+    procs: Arc<RwLock<Interner<P::State>>>,
+    svcs: Arc<RwLock<Interner<SvcState>>>,
     /// The transition-effect cache (see [`crate::effect_cache`]).
     /// `None` disables memoization — the reference path the
     /// differential suite compares against.
@@ -243,8 +253,8 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             sys,
             n,
             m,
-            procs: RwLock::new(Interner::new()),
-            svcs: RwLock::new(Interner::new()),
+            procs: Arc::default(),
+            svcs: Arc::default(),
             cache: None,
             symmetry: None,
         }
@@ -708,11 +718,52 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         (out, hit)
     }
 
-    /// Unpacks back into the deep representation.
+    /// Unpacks back into the deep representation (see
+    /// [`Decoder::decode`]).
     pub fn decode(&self, ps: &PackedState) -> SystemState<P::State> {
+        self.decoder().decode(ps)
+    }
+
+    /// A read-only handle on the component sub-arenas: decodes and
+    /// looks up packed states of this system without borrowing it.
+    #[must_use]
+    pub fn decoder(&self) -> Decoder<P::State> {
+        Decoder {
+            n: self.n,
+            m: self.m,
+            procs: Arc::clone(&self.procs),
+            svcs: Arc::clone(&self.svcs),
+        }
+    }
+}
+
+/// A read-only handle on a [`PackedSystem`]'s component sub-arenas.
+///
+/// The arenas are append-only and shared by `Arc`, so a handle keeps
+/// every packed state the system produced decodable — including after
+/// the [`PackedSystem`] is dropped, and while it keeps interning fresh
+/// components for later explorations.
+#[derive(Debug)]
+pub struct Decoder<PS> {
+    n: usize,
+    m: usize,
+    procs: Arc<RwLock<Interner<PS>>>,
+    svcs: Arc<RwLock<Interner<SvcState>>>,
+}
+
+impl<PS: Clone + Hash + Eq> Decoder<PS> {
+    /// The number of process slots of every packed state.
+    #[must_use]
+    pub fn process_count(&self) -> usize {
+        self.n
+    }
+
+    /// Unpacks back into the deep representation.
+    #[must_use]
+    pub fn decode(&self, ps: &PackedState) -> SystemState<PS> {
         let procs = self.procs.read().expect("interner lock poisoned");
         let svcs = self.svcs.read().expect("interner lock poisoned");
-        let mask = ps.comps[self.n + self.m];
+        let mask = ps.failed_mask();
         SystemState {
             procs: (0..self.n)
                 .map(|i| {
@@ -732,6 +783,51 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 .map(|i| ProcId(i as usize))
                 .collect::<BTreeSet<_>>(),
         }
+    }
+
+    /// The packed form of `s` without interning anything: `None` when
+    /// some component of `s` was never interned (or `s` has the wrong
+    /// shape), in which case no packed state of this system decodes to
+    /// `s`. Otherwise the result equals what
+    /// [`PackedSystem::encode`] would return.
+    #[must_use]
+    pub fn lookup(&self, s: &SystemState<PS>) -> Option<PackedState> {
+        if s.procs.len() != self.n || s.services.len() != self.m {
+            return None;
+        }
+        let procs = self.procs.read().expect("interner lock poisoned");
+        let svcs = self.svcs.read().expect("interner lock poisoned");
+        let mut comps = Vec::with_capacity(self.n + self.m + 1);
+        for p in &s.procs {
+            comps.push(id_bits(procs.get(p)?));
+        }
+        for st in &s.services {
+            comps.push(id_bits(svcs.get(st)?));
+        }
+        let mut mask = 0u32;
+        for i in &s.failed {
+            if i.0 >= MAX_PROCESSES {
+                return None;
+            }
+            mask |= 1 << i.0;
+        }
+        comps.push(mask);
+        Some(PackedState {
+            comps: comps.into_boxed_slice(),
+        })
+    }
+
+    /// `f` applied to every process component interned so far, indexed
+    /// by component id: entry `pc` answers for every packed state whose
+    /// process slot holds `pc`.
+    pub fn proc_table<T>(&self, f: impl FnMut(&PS) -> T) -> Vec<T> {
+        self.procs
+            .read()
+            .expect("interner lock poisoned")
+            .iter()
+            .map(|(_, st)| st)
+            .map(f)
+            .collect()
     }
 }
 
@@ -1060,6 +1156,7 @@ const _: () = {
     const fn is_send_sync<T: Send + Sync>() {}
     is_send_sync::<PackedState>();
     is_send_sync::<PackedSystem<'_, crate::process::direct::DirectConsensus>>();
+    is_send_sync::<Decoder<<crate::process::direct::DirectConsensus as ProcessAutomaton>::State>>();
 };
 
 #[cfg(test)]
@@ -1103,6 +1200,28 @@ mod tests {
         assert_eq!(packed.decode(&ps), s);
         // Re-encoding the same state reuses every component id.
         assert_eq!(packed.encode(&s), ps);
+    }
+
+    #[test]
+    fn decoder_lookup_matches_encode_and_never_interns() {
+        let sys = direct_system(3, 1);
+        let packed = PackedSystem::new(&sys);
+        let decoder = packed.decoder();
+        let s = sys.init(&sys.single_initial_state(), ProcId(2), Val::Int(1));
+        let s = sys.fail(&s, ProcId(0));
+        let ps = packed.encode(&s);
+        assert_eq!(decoder.lookup(&s), Some(ps.clone()));
+        assert_eq!(decoder.decode(&ps), s);
+        // A state with a never-interned process component has no packed
+        // form, and asking does not intern it.
+        let fresh = sys.init(&s, ProcId(1), Val::Int(0));
+        let before = packed.proc_components();
+        assert_eq!(decoder.lookup(&fresh), None);
+        assert_eq!(packed.proc_components(), before);
+        // The handle outlives the packed system that made it.
+        drop(packed);
+        assert_eq!(decoder.decode(&ps), s);
+        assert_eq!(decoder.proc_table(|_| ()).len(), before);
     }
 
     #[test]

@@ -49,7 +49,8 @@
 //! `witness` needs `f + 1 < n`, because its refutation fails `f + 1`
 //! processes and needs a survivor; `certify --construction set-boost`
 //! needs `1 ≤ k < n` with `k | n`. A bad value exits 2 with one
-//! `error:` line.
+//! `error:` line, as does a `check` atom `proc_decided(i)` or
+//! `failed(i)` whose process index lies outside `0..n`.
 //!
 //! `--frontier ws` routes every exploration through the sharded
 //! work-stealing frontier (DESIGN §2.1.5) instead of the
@@ -432,7 +433,19 @@ fn check_on<P: ProcessAutomaton>(
     let map = ValenceMap::build_with_symmetry(sys, root, 2_000_000, threads, symmetry)
         .unwrap_or_else(|e| fail(&e.to_string()));
     let graph = SystemGraph::new(sys, &map);
-    let vocab = system_vocab::<P>(assignment.clone());
+    let system_atoms = system_vocab::<P>(assignment.clone());
+    // A process index outside 0..n names no process: refuse it rather
+    // than let the atom answer false everywhere.
+    let vocab = |name: &str, args: &[i64]| {
+        if let ("proc_decided" | "failed", [i]) = (name, args) {
+            if usize::try_from(*i).map_or(true, |i| i >= n) {
+                fail(&format!(
+                    "{name}({i}): process index must be in 0..{n} for --n {n}"
+                ));
+            }
+        }
+        system_atoms(name, args)
+    };
     // Bad expressions and unknown atoms are user input, not pipeline
     // failures: report the parse error alone and exit 2 (unknown).
     let props = parse_props(expr, &vocab).unwrap_or_else(|e| fail(&e.to_string()));

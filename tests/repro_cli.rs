@@ -7,8 +7,8 @@
 //! well-formed invocations keep their documented exit codes. The
 //! `--symmetry` flag must accept `full`/`off` and produce the same
 //! verdicts either way on an id-symmetric candidate. Out-of-range
-//! numeric flags must be refused with one `error:` line and exit 2
-//! before the library's own assertions can panic.
+//! numeric flags and process indices must be refused with one `error:`
+//! line and exit 2 before the library's own assertions can panic.
 
 use std::process::{Command, Output};
 
@@ -236,5 +236,41 @@ fn certify_set_boost_refuses_parameters_the_construction_rejects() {
             "0",
         ],
         "set-boost with n=1, k=0",
+    );
+}
+
+#[test]
+fn check_refuses_an_out_of_range_proc_decided_index() {
+    // Used to panic with an index out of bounds (exit 101).
+    assert_refused(
+        &[
+            "check",
+            "ef(proc_decided(7))",
+            "--class",
+            "atomic",
+            "--n",
+            "3",
+            "--f",
+            "1",
+        ],
+        "proc_decided(7): process index must be in 0..3",
+    );
+}
+
+#[test]
+fn check_refuses_an_out_of_range_failed_index() {
+    // Used to print FAILS: no state marks a non-existent process failed.
+    assert_refused(
+        &[
+            "check",
+            "ef(failed(40))",
+            "--class",
+            "atomic",
+            "--n",
+            "3",
+            "--f",
+            "1",
+        ],
+        "failed(40): process index must be in 0..3",
     );
 }
