@@ -15,10 +15,14 @@
 
 use crate::hook::Hook;
 use crate::valence::{Valence, ValenceMap};
+use ioa::canon::Perm;
 use ioa::store::StateId;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use system::build::SystemState;
+use system::packed::{canonical_system_state_with, permute_task};
 use system::process::ProcessAutomaton;
+use system::Task;
 
 /// Counts of states per valence class.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -96,12 +100,28 @@ fn color(v: Valence) -> &'static str {
     }
 }
 
+/// The frame of the map node `s` resolves to: the permutation `σ`
+/// with `σ · s` the interned state — the canonicalizing permutation in
+/// a quotient map, the identity at the raw root and in a concrete map.
+fn frame<P: ProcessAutomaton>(map: &ValenceMap<P>, s: &SystemState<P::State>) -> Perm {
+    match map.sym() {
+        Some(group) if s != map.root() => canonical_system_state_with(group, s).1,
+        _ => Perm::identity(s.procs.len()),
+    }
+}
+
 /// Renders the neighbourhood of `G(C)` within `radius` task-steps of
 /// `center` as Graphviz DOT, colouring nodes by valence and
 /// (optionally) highlighting a hook's states and edges.
+///
+/// The hook is concrete, but a quotient map's edges out of a node
+/// carry task labels in its representative's frame: the hook edge `t`
+/// out of corner `c` is the edge `σ_c(t)` out of `rep(c)`, where `σ_c`
+/// canonicalizes `c`. The marked edges are `σ_α(e)` and `σ_α(e')` out
+/// of `α`'s node and `σ_{s'}(e)` out of `s'`'s node.
 pub fn to_dot<P: ProcessAutomaton>(
     map: &ValenceMap<P>,
-    center: &system::build::SystemState<P::State>,
+    center: &SystemState<P::State>,
     radius: usize,
     hook: Option<&Hook<P>>,
 ) -> String {
@@ -138,8 +158,17 @@ pub fn to_dot<P: ProcessAutomaton>(
             ]
         })
         .unwrap_or_default();
-    let alpha_id = hook.and_then(|h| map.id_of(&h.alpha));
-    let s_prime_id = hook.and_then(|h| map.id_of(&h.s_prime));
+    let hook_edges: Vec<(Option<StateId>, Task)> = hook
+        .map(|h| {
+            let (alpha, s_prime) = (frame(map, &h.alpha), frame(map, &h.s_prime));
+            let alpha_id = map.id_of(&h.alpha);
+            vec![
+                (alpha_id, permute_task(&alpha, &h.e)),
+                (alpha_id, permute_task(&alpha, &h.e_prime)),
+                (map.id_of(&h.s_prime), permute_task(&s_prime, &h.e)),
+            ]
+        })
+        .unwrap_or_default();
 
     let mut out = String::new();
     out.push_str("digraph GC {\n  rankdir=LR;\n  node [style=filled, shape=circle, label=\"\"];\n");
@@ -161,12 +190,9 @@ pub fn to_dot<P: ProcessAutomaton>(
         let from = index[s.index()].expect("listed nodes are indexed");
         for (t, _, s2) in map.successors(*s) {
             if let Some(to) = index[s2.index()] {
-                let is_hook_edge = hook
-                    .map(|h| {
-                        (alpha_id == Some(*s) && (t == &h.e || t == &h.e_prime))
-                            || (s_prime_id == Some(*s) && t == &h.e)
-                    })
-                    .unwrap_or(false);
+                let is_hook_edge = hook_edges
+                    .iter()
+                    .any(|(src, task)| *src == Some(*s) && task == t);
                 let style = if is_hook_edge {
                     ", color=red, penwidth=2"
                 } else {

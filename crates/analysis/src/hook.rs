@@ -9,9 +9,18 @@
 //! pins a valence flip along any path to an opposite-valued decision,
 //! and the flip edge is the hook.
 //!
-//! The search runs entirely over the [`ValenceMap`]'s interned graph:
-//! frontiers and parent maps are indexed by dense [`StateId`]s, and
-//! full `SystemState`s are only materialized at the hook's corners.
+//! The construction walks *concrete* packed states. It steps the
+//! [`PackedSystem`] that built the valence map, resumed over the map's
+//! tables ([`ValenceMap::packed_system`]), so the transition-effect
+//! cache and canonicalizer memo the exploration filled serve it warm,
+//! and asks the map only for valences and decisions by packed lookup
+//! ([`ValenceMap::packed_id_of`]). On a symmetry-quotient map that
+//! lookup canonicalizes, while the walk itself never leaves the
+//! concrete transition system: quotient edges carry task labels in
+//! each representative's frame, so a path through the quotient graph
+//! is no execution. The returned hook is therefore one genuine
+//! execution on every map — `alpha_tasks` replays verbatim from the
+//! root — and only its corner states are decoded.
 //!
 //! For a candidate system that genuinely decides in failure-free fair
 //! executions, the construction terminates (the paper's argument); the
@@ -20,9 +29,10 @@
 
 use crate::valence::{Valence, ValenceMap};
 use ioa::automaton::Automaton;
-use ioa::store::StateId;
-use std::collections::{HashMap, VecDeque};
+use ioa::store::{fx_hash, StateId, StateStore};
+use std::collections::VecDeque;
 use system::build::{CompleteSystem, SystemState};
+use system::packed::{PackedState, PackedSystem};
 use system::process::ProcessAutomaton;
 use system::Task;
 
@@ -74,83 +84,159 @@ pub enum HookOutcome<P: ProcessAutomaton> {
     },
 }
 
-/// Reusable scratch for [`bfs_in_map`]: the Fig. 3 construction runs
-/// one BFS per iteration over the same graph, so the visited bitmap,
-/// parent table and queue are allocated once per [`find_hook`] call
-/// and wiped (an `O(n)` `fill`, no reallocation) between searches.
-struct BfsScratch {
-    seen: Vec<bool>,
-    parent: Vec<Option<(StateId, Task)>>,
-    queue: VecDeque<StateId>,
+/// The Fig. 3 construction's view of one valence map: the resumed
+/// packed system it steps, and the map it asks for valences and
+/// decisions.
+struct Walk<'a, 's, P: ProcessAutomaton> {
+    packed: PackedSystem<'s, P>,
+    map: &'a ValenceMap<P>,
+    tasks: Vec<Task>,
 }
 
-impl BfsScratch {
-    fn new(n: usize) -> Self {
-        BfsScratch {
-            seen: vec![false; n],
-            parent: vec![None; n],
-            queue: VecDeque::new(),
+impl<P: ProcessAutomaton> Walk<'_, '_, P> {
+    /// `e(s)`: the determinized step of task `e` (Section 3.1).
+    fn step(&self, e: &Task, ps: &PackedState) -> Option<PackedState> {
+        self.packed.succ_det(e, ps).map(|(_, s2)| s2)
+    }
+
+    /// The valence of a concrete state reachable from the map's root.
+    fn valence(&self, ps: &PackedState) -> Valence {
+        let id = self
+            .map
+            .packed_id_of(&self.packed, ps)
+            .expect("every reachable state's orbit was explored");
+        self.map.valence_id(id)
+    }
+
+    /// Breadth-first search over concrete states from `from`,
+    /// following only edges whose task differs from `banned` (when
+    /// given) and skipping self-loops, for the first state satisfying
+    /// `pred`. Returns the `(task, state)` path.
+    fn bfs(
+        &self,
+        from: &PackedState,
+        banned: Option<&Task>,
+        pred: impl Fn(&PackedState) -> bool,
+    ) -> Option<Vec<(Task, PackedState)>> {
+        if pred(from) {
+            return Some(Vec::new());
         }
-    }
-
-    fn reset(&mut self) {
-        self.seen.fill(false);
-        self.parent.fill(None);
-        self.queue.clear();
-    }
-}
-
-/// Breadth-first search within the valence map's interned graph from
-/// `from`, following only edges whose task differs from `banned` (when
-/// given), for the first state satisfying `pred`. Returns the
-/// `(task, state id)` path.
-fn bfs_in_map<P, F>(
-    map: &ValenceMap<P>,
-    scratch: &mut BfsScratch,
-    from: StateId,
-    banned: Option<&Task>,
-    pred: F,
-) -> Option<(Vec<(Task, StateId)>, StateId)>
-where
-    P: ProcessAutomaton,
-    F: Fn(StateId) -> bool,
-{
-    if pred(from) {
-        return Some((Vec::new(), from));
-    }
-    scratch.reset();
-    let BfsScratch {
-        seen,
-        parent,
-        queue,
-    } = scratch;
-    seen[from.index()] = true;
-    queue.push_back(from);
-    while let Some(s) = queue.pop_front() {
-        for (t, _, s2) in map.successors(s) {
-            if banned == Some(t) || seen[s2.index()] {
-                continue;
-            }
-            seen[s2.index()] = true;
-            parent[s2.index()] = Some((s, t.clone()));
-            if pred(*s2) {
-                let mut path = Vec::new();
-                let mut cur = *s2;
-                while let Some((prev, task)) = &parent[cur.index()] {
-                    path.push((task.clone(), cur));
-                    cur = *prev;
+        // `seen` numbers states in discovery order; `parent[id]` is the
+        // step that discovered `id`.
+        let mut seen = StateStore::new();
+        let (root, _) = seen.intern(from);
+        let mut parent: Vec<Option<(StateId, Task)>> = vec![None];
+        let mut queue = VecDeque::from([root]);
+        while let Some(id) = queue.pop_front() {
+            for t in &self.tasks {
+                if banned == Some(t) {
+                    continue;
                 }
-                path.reverse();
-                return Some((path, *s2));
+                for (_, s2) in self.packed.succ_all(t, seen.resolve(id)) {
+                    if s2 == *seen.resolve(id) {
+                        continue;
+                    }
+                    let hash = fx_hash(&s2);
+                    let (next, fresh) = seen.intern_prehashed(s2, hash);
+                    if !fresh {
+                        continue;
+                    }
+                    parent.push(Some((id, t.clone())));
+                    if pred(seen.resolve(next)) {
+                        let mut path = Vec::new();
+                        let mut cur = next;
+                        while let Some((prev, task)) = &parent[cur.index()] {
+                            path.push((task.clone(), seen.resolve(cur).clone()));
+                            cur = *prev;
+                        }
+                        path.reverse();
+                        return Some(path);
+                    }
+                    queue.push_back(next);
+                }
             }
-            queue.push_back(*s2);
         }
+        None
     }
-    None
+
+    /// Given the terminating bivalent execution `α` (final state
+    /// `cur`, task sequence `cur_tasks`) and the pinned task `e`, finds
+    /// the valence flip along a path to an opposite-valued decision
+    /// (the two-case analysis in the Lemma 5 proof).
+    fn extract_hook(&self, cur: PackedState, cur_tasks: Vec<Task>, e: Task) -> HookOutcome<P> {
+        let decode = |ps: &PackedState| self.packed.decode(ps);
+        let e_cur = self
+            .step(&e, &cur)
+            .expect("the construction only terminates on an applicable task");
+        let v = self.valence(&e_cur);
+        let vbar = match v {
+            Valence::Zero | Valence::One => v.opposite(),
+            Valence::Bivalent => {
+                unreachable!("construction terminated, so e(α) is univalent")
+            }
+            Valence::Undecided => {
+                return HookOutcome::UndecidedRegion {
+                    state: decode(&e_cur),
+                };
+            }
+        };
+        let wanted = vbar.decided_value().expect("vbar is univalent");
+
+        // A descendant of α in which some process decides v̄ — exists
+        // because α is bivalent.
+        let path = self
+            .bfs(&cur, None, |ps| self.map.has_decided_packed(ps, &wanted))
+            .expect("bivalent states reach both decisions");
+
+        // σ_0 = α; σ_{m+1} = e_m(σ_m) along the path. Scan t_m = e(σ_m)
+        // for m up to (and including) the first e-labeled edge: for
+        // those m the task e has not yet occurred on the path, so e is
+        // applicable at σ_m (Lemma 1). When the edge at index `first_e`
+        // is itself e, its endpoint σ_{first_e + 1} *is* e(σ_{first_e}).
+        let (labels, rest): (Vec<Task>, Vec<PackedState>) = path.into_iter().unzip();
+        let sigma: Vec<PackedState> = std::iter::once(cur).chain(rest).collect();
+        let first_e = labels.iter().position(|t| *t == e).unwrap_or(labels.len());
+        let t_of = |m: usize| -> PackedState {
+            if m == first_e && first_e < labels.len() {
+                sigma[m + 1].clone()
+            } else {
+                self.step(&e, &sigma[m])
+                    .expect("e is applicable at e-free path prefixes (Lemma 1)")
+            }
+        };
+
+        let mut prev_state = e_cur; // t_0 = e(σ_0)
+        let mut prev_val = v;
+        for m in 1..=first_e {
+            let next_state = t_of(m);
+            let next_val = self.valence(&next_state);
+            if prev_val == v && next_val == vbar {
+                // Hook found at σ_{m−1}: e flips valence across edge e_{m−1}.
+                let mut alpha_tasks = cur_tasks;
+                alpha_tasks.extend(labels[..m - 1].iter().cloned());
+                return HookOutcome::Hook(Hook {
+                    alpha_tasks,
+                    alpha: decode(&sigma[m - 1]),
+                    e,
+                    e_prime: labels[m - 1].clone(),
+                    s0: decode(&prev_state),
+                    s_prime: decode(&sigma[m]),
+                    s1: decode(&next_state),
+                    v,
+                });
+            }
+            prev_state = next_state;
+            prev_val = next_val;
+        }
+        unreachable!(
+            "a valence flip must occur at or before the first e-edge (Lemma 5 case analysis)"
+        )
+    }
 }
 
 /// Runs the Fig. 3 construction from the root of `map` (a bivalent
-/// initialization) and extracts a hook.
+/// initialization) and extracts a hook. `sys` is the system `map` was
+/// built from.
 ///
 /// `max_iterations` bounds the number of bivalence-preserving
 /// extension rounds before the construction gives up and reports
@@ -170,29 +256,24 @@ pub fn find_hook<P: ProcessAutomaton>(
         Valence::Bivalent,
         "the Fig. 3 construction starts from a bivalent initialization"
     );
-    if map.symmetric() {
-        // Quotient edges lead to orbit *representatives*, so a path in
-        // the interned graph is not an execution: each hop's task label
-        // would need conjugating by that hop's canonicalizing
-        // permutation, and the banned-task filter below would ban the
-        // wrong concrete task. Walk the concrete transition system
-        // instead, using the quotient map purely as a valence oracle.
-        return find_hook_concrete(sys, map, max_iterations);
-    }
-    let tasks = sys.tasks();
-    let mut cur: StateId = map.root_id();
+    let walk = Walk {
+        packed: map.packed_system(sys),
+        map,
+        tasks: sys.tasks(),
+    };
+    let tasks = &walk.tasks;
+    let mut cur = map.packed_root().clone();
     let mut cur_tasks: Vec<Task> = Vec::new();
     let mut rr = 0usize;
-    let mut scratch = BfsScratch::new(map.state_count());
 
-    for iteration in 0..max_iterations {
+    for _ in 0..max_iterations {
         // The next applicable task in round-robin order. Process tasks
         // are always applicable, so this terminates within one lap.
         let e = {
             let mut chosen = None;
             for off in 0..tasks.len() {
                 let t = &tasks[(rr + off) % tasks.len()];
-                if sys.applicable(t, map.resolve(cur)) {
+                if walk.packed.applicable(t, &cur) {
                     rr = (rr + off + 1) % tasks.len();
                     chosen = Some(t.clone());
                     break;
@@ -202,312 +283,34 @@ pub fn find_hook<P: ProcessAutomaton>(
         };
 
         // Seek a descendant α' (reachable without executing e) with
-        // e(α') bivalent. e(α') is itself in the graph: it is reachable
-        // from α' by the task e (or equals α', for a self-loop).
-        let target = bfs_in_map(map, &mut scratch, cur, Some(&e), |id| {
-            match sys.succ_det(&e, map.resolve(id)) {
-                Some((_, t)) => map.valence(&t) == Valence::Bivalent,
-                None => false,
-            }
-        });
-
-        match target {
-            Some((path, found)) => {
-                // Extend: α := e(α').
-                cur_tasks.extend(path.into_iter().map(|(t, _)| t));
-                let (_, after_e) = sys
-                    .succ_det(&e, map.resolve(found))
-                    .expect("e was applicable at the found state");
-                cur_tasks.push(e);
-                cur = map
-                    .id_of(&after_e)
-                    .expect("e(α') is reachable, hence interned");
-                let _ = iteration;
-            }
-            None => {
-                // Construction terminated: e(α') is univalent for every
-                // e-free descendant α' of cur. Extract the hook.
-                return extract_hook(sys, map, &mut scratch, cur, cur_tasks, e);
-            }
-        }
-    }
-    HookOutcome::EndlessBivalence {
-        iterations: max_iterations,
-        state: map.resolve(cur).clone(),
-    }
-}
-
-/// Given the terminating bivalent execution `α` (state id `cur`, task
-/// sequence `cur_tasks`) and the pinned task `e`, finds the valence
-/// flip along a path to an opposite-valued decision (the two-case
-/// analysis in the Lemma 5 proof).
-fn extract_hook<P: ProcessAutomaton>(
-    sys: &CompleteSystem<P>,
-    map: &ValenceMap<P>,
-    scratch: &mut BfsScratch,
-    cur: StateId,
-    cur_tasks: Vec<Task>,
-    e: Task,
-) -> HookOutcome<P> {
-    let cur_state = map.resolve(cur).clone();
-    let (_, e_cur) = sys
-        .succ_det(&e, &cur_state)
-        .expect("the construction only terminates on an applicable task");
-    let v = map.valence(&e_cur);
-    let vbar = match v {
-        Valence::Zero | Valence::One => v.opposite(),
-        Valence::Bivalent => {
-            unreachable!("construction terminated, so e(α) is univalent")
-        }
-        Valence::Undecided => {
-            return HookOutcome::UndecidedRegion { state: e_cur };
-        }
-    };
-    let wanted = vbar.decided_value().expect("vbar is univalent");
-
-    // A descendant of α in which some process decides v̄ — exists
-    // because α is bivalent.
-    let (path, _) = bfs_in_map(map, scratch, cur, None, |id| {
-        map.has_decided_id(id, &wanted)
-    })
-    .expect("bivalent states reach both decisions");
-
-    // σ_0 = α; σ_{m+1} = e_m(σ_m) along the path. Scan t_m = e(σ_m)
-    // for m up to (and including) the first e-labeled edge: for those m
-    // the task e has not yet occurred on the path, so e is applicable
-    // at σ_m (Lemma 1). When the edge at index `first_e` is itself e,
-    // its endpoint σ_{first_e + 1} *is* e(σ_{first_e}).
-    let mut sigma: Vec<SystemState<P::State>> = vec![cur_state];
-    let mut labels: Vec<Task> = Vec::new();
-    for (t, id) in &path {
-        sigma.push(map.resolve(*id).clone());
-        labels.push(t.clone());
-    }
-    let first_e = labels.iter().position(|t| *t == e).unwrap_or(labels.len());
-    let upper = first_e.min(labels.len());
-    let t_of = |m: usize| -> SystemState<P::State> {
-        if m == first_e && first_e < labels.len() {
-            sigma[m + 1].clone()
-        } else {
-            sys.succ_det(&e, &sigma[m])
-                .expect("e is applicable at e-free path prefixes (Lemma 1)")
-                .1
-        }
-    };
-
-    let mut prev_state = e_cur; // t_0 = e(σ_0)
-    let mut prev_val = v;
-    for m in 1..=upper {
-        let next_state = t_of(m);
-        let next_val = map.valence(&next_state);
-        if prev_val == v && next_val == vbar {
-            // Hook found at σ_{m−1}: e flips valence across edge e_{m−1}.
-            let e_prime = labels[m - 1].clone();
-            let mut alpha_tasks = cur_tasks;
-            alpha_tasks.extend(labels[..m - 1].iter().cloned());
-            return HookOutcome::Hook(Hook {
-                alpha_tasks,
-                alpha: sigma[m - 1].clone(),
-                e,
-                e_prime,
-                s0: prev_state,
-                s_prime: sigma[m].clone(),
-                s1: next_state,
-                v,
-            });
-        }
-        prev_state = next_state;
-        prev_val = next_val;
-    }
-    unreachable!("a valence flip must occur at or before the first e-edge (Lemma 5 case analysis)")
-}
-
-/// Breadth-first search over *concrete* system states from `from`,
-/// following only edges whose task differs from `banned` (when given)
-/// and skipping self-loops, for the first state satisfying `pred`.
-/// Returns the `(task, state)` path. Used for symmetry-quotient maps,
-/// where [`bfs_in_map`]'s interned edges do not correspond to concrete
-/// executions.
-fn bfs_concrete<P, F>(
-    sys: &CompleteSystem<P>,
-    tasks: &[Task],
-    from: &SystemState<P::State>,
-    banned: Option<&Task>,
-    pred: F,
-) -> Option<Vec<(Task, SystemState<P::State>)>>
-where
-    P: ProcessAutomaton,
-    F: Fn(&SystemState<P::State>) -> bool,
-{
-    if pred(from) {
-        return Some(Vec::new());
-    }
-    // Nodes are kept in discovery order; `seen` maps a state to its
-    // node index so parents can be chased for path reconstruction.
-    type Node<S> = (SystemState<S>, Option<(usize, Task)>);
-    let mut nodes: Vec<Node<P::State>> = vec![(from.clone(), None)];
-    let mut seen: HashMap<SystemState<P::State>, usize> = HashMap::new();
-    seen.insert(from.clone(), 0);
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    queue.push_back(0);
-    while let Some(idx) = queue.pop_front() {
-        for t in tasks {
-            if banned == Some(t) {
-                continue;
-            }
-            let succs = sys.succ_all(t, &nodes[idx].0);
-            for (_, s2) in succs {
-                if s2 == nodes[idx].0 || seen.contains_key(&s2) {
-                    continue;
-                }
-                let next = nodes.len();
-                seen.insert(s2.clone(), next);
-                nodes.push((s2, Some((idx, t.clone()))));
-                if pred(&nodes[next].0) {
-                    let mut path = Vec::new();
-                    let mut cur = next;
-                    while let Some((prev, task)) = nodes[cur].1.clone() {
-                        path.push((task, nodes[cur].0.clone()));
-                        cur = prev;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-    None
-}
-
-/// The Fig. 3 construction over the *concrete* transition system,
-/// consulting the symmetry-quotient `map` only as a valence oracle
-/// (its lookups canonicalize, so any concrete reachable state
-/// resolves). The hook it returns is fully concrete: `alpha_tasks`
-/// replays verbatim from the root, no permutation lifting needed.
-fn find_hook_concrete<P: ProcessAutomaton>(
-    sys: &CompleteSystem<P>,
-    map: &ValenceMap<P>,
-    max_iterations: usize,
-) -> HookOutcome<P> {
-    let tasks = sys.tasks();
-    let mut cur: SystemState<P::State> = map.root().clone();
-    let mut cur_tasks: Vec<Task> = Vec::new();
-    let mut rr = 0usize;
-
-    for _iteration in 0..max_iterations {
-        let e = {
-            let mut chosen = None;
-            for off in 0..tasks.len() {
-                let t = &tasks[(rr + off) % tasks.len()];
-                if sys.applicable(t, &cur) {
-                    rr = (rr + off + 1) % tasks.len();
-                    chosen = Some(t.clone());
-                    break;
-                }
-            }
-            chosen.expect("process tasks are always applicable")
-        };
-
-        let target = bfs_concrete(sys, &tasks, &cur, Some(&e), |s| match sys.succ_det(&e, s) {
-            Some((_, t)) => map.valence(&t) == Valence::Bivalent,
-            None => false,
+        // e(α') bivalent.
+        let target = walk.bfs(&cur, Some(&e), |ps| {
+            walk.step(&e, ps)
+                .is_some_and(|t| walk.valence(&t) == Valence::Bivalent)
         });
 
         match target {
             Some(path) => {
-                let found = path.last().map_or_else(|| cur.clone(), |(_, s)| s.clone());
-                cur_tasks.extend(path.into_iter().map(|(t, _)| t));
-                let (_, after_e) = sys
-                    .succ_det(&e, &found)
+                // Extend: α := e(α').
+                let found = path.last().map_or(&cur, |(_, ps)| ps);
+                let after_e = walk
+                    .step(&e, found)
                     .expect("e was applicable at the found state");
+                cur_tasks.extend(path.into_iter().map(|(t, _)| t));
                 cur_tasks.push(e);
                 cur = after_e;
             }
             None => {
-                return extract_hook_concrete(sys, map, &tasks, cur, cur_tasks, e);
+                // Construction terminated: e(α') is univalent for every
+                // e-free descendant α' of cur. Extract the hook.
+                return walk.extract_hook(cur, cur_tasks, e);
             }
         }
     }
     HookOutcome::EndlessBivalence {
         iterations: max_iterations,
-        state: cur,
+        state: walk.packed.decode(&cur),
     }
-}
-
-/// Concrete-state mirror of [`extract_hook`]: the same Lemma 5 flip
-/// scan, but over a concrete decision path so every corner state and
-/// task label of the returned hook belongs to one genuine execution.
-fn extract_hook_concrete<P: ProcessAutomaton>(
-    sys: &CompleteSystem<P>,
-    map: &ValenceMap<P>,
-    tasks: &[Task],
-    cur_state: SystemState<P::State>,
-    cur_tasks: Vec<Task>,
-    e: Task,
-) -> HookOutcome<P> {
-    let (_, e_cur) = sys
-        .succ_det(&e, &cur_state)
-        .expect("the construction only terminates on an applicable task");
-    let v = map.valence(&e_cur);
-    let vbar = match v {
-        Valence::Zero | Valence::One => v.opposite(),
-        Valence::Bivalent => {
-            unreachable!("construction terminated, so e(α) is univalent")
-        }
-        Valence::Undecided => {
-            return HookOutcome::UndecidedRegion { state: e_cur };
-        }
-    };
-    let wanted = vbar.decided_value().expect("vbar is univalent");
-
-    let path = bfs_concrete(sys, tasks, &cur_state, None, |s| {
-        sys.decided_values(s).contains(&wanted)
-    })
-    .expect("bivalent states reach both decisions");
-
-    let mut sigma: Vec<SystemState<P::State>> = vec![cur_state];
-    let mut labels: Vec<Task> = Vec::new();
-    for (t, s) in path {
-        sigma.push(s);
-        labels.push(t);
-    }
-    let first_e = labels.iter().position(|t| *t == e).unwrap_or(labels.len());
-    let upper = first_e.min(labels.len());
-    let t_of = |m: usize| -> SystemState<P::State> {
-        if m == first_e && first_e < labels.len() {
-            sigma[m + 1].clone()
-        } else {
-            sys.succ_det(&e, &sigma[m])
-                .expect("e is applicable at e-free path prefixes (Lemma 1)")
-                .1
-        }
-    };
-
-    let mut prev_state = e_cur;
-    let mut prev_val = v;
-    for m in 1..=upper {
-        let next_state = t_of(m);
-        let next_val = map.valence(&next_state);
-        if prev_val == v && next_val == vbar {
-            let e_prime = labels[m - 1].clone();
-            let mut alpha_tasks = cur_tasks;
-            alpha_tasks.extend(labels[..m - 1].iter().cloned());
-            return HookOutcome::Hook(Hook {
-                alpha_tasks,
-                alpha: sigma[m - 1].clone(),
-                e,
-                e_prime,
-                s0: prev_state,
-                s_prime: sigma[m].clone(),
-                s1: next_state,
-                v,
-            });
-        }
-        prev_state = next_state;
-        prev_val = next_val;
-    }
-    unreachable!("a valence flip must occur at or before the first e-edge (Lemma 5 case analysis)")
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@
 //! Lemma 5 hook construction, the `G(C)` census, the witness safety
 //! scan — shares this one graph, reading component ids where it can
 //! and decoding a full `SystemState` only for the ids it inspects
-//! deeply.
+//! deeply. The hook construction walks concrete packed states of the
+//! packed system that built the map ([`ValenceMap::packed_system`])
+//! and asks the map only for valences and decisions
+//! ([`ValenceMap::packed_id_of`], [`ValenceMap::has_decided_packed`]).
 
 use ioa::canon::{SymGroup, SymmetryMode};
 use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph, FrontierMode};
@@ -107,10 +110,12 @@ impl std::error::Error for Truncated {}
 /// The map keeps the explorer's *packed* arena ([`PackedSystem`],
 /// DESIGN §2.1.2): each state is a flat vector of component ids into
 /// sub-arenas shared with the packed system through a [`Decoder`]
-/// handle. Valence, reachable decisions, each process's recorded
-/// decision and the failed set are answered from those ids — a
-/// decision is computed once per distinct process component, not once
-/// per state. [`ValenceMap::resolve`] decodes a state back into a deep
+/// handle, which also keeps the packed system's effect cache and
+/// canonicalizer memo alive for [`ValenceMap::packed_system`].
+/// Valence, reachable decisions, each process's recorded decision and
+/// the failed set are answered from those ids — a decision is computed
+/// once per distinct process component, not once per state.
+/// [`ValenceMap::resolve`] decodes a state back into a deep
 /// [`SystemState`] only when asked, once per id; the root is stored
 /// decoded from the start. Ids, edges, parents and stats are
 /// bit-identical to exploring the deep representation directly (pinned
@@ -120,7 +125,8 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     /// The packed states, in id (discovery) order.
     store: StateStore<PackedState>,
     /// Decodes and looks up packed states against the component
-    /// sub-arenas the packed ids index.
+    /// sub-arenas the packed ids index, and resumes the packed system
+    /// that built the map.
     decoder: Decoder<P::State>,
     /// `decoded[id]` = the deep form of `id`, materialized on first
     /// [`ValenceMap::resolve`].
@@ -401,6 +407,21 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.root
     }
 
+    /// The root state in packed form, a state of
+    /// [`ValenceMap::packed_system`].
+    pub fn packed_root(&self) -> &PackedState {
+        self.store.resolve(self.root)
+    }
+
+    /// The packed system that built this map, resumed over the same
+    /// component sub-arenas, effect cache and canonicalizer memo
+    /// ([`PackedSystem::resume`]): its packed states are the map's, and
+    /// every transition the exploration computed is served warm. `sys`
+    /// must be the system the map was built from.
+    pub fn packed_system<'s>(&self, sys: &'s CompleteSystem<P>) -> PackedSystem<'s, P> {
+        PackedSystem::resume(sys, &self.decoder)
+    }
+
     /// The number of reachable states.
     pub fn state_count(&self) -> usize {
         self.store.len()
@@ -498,6 +519,18 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.store.get(&packed)
     }
 
+    /// [`ValenceMap::id_of`] for a packed state `ps` of `packed`, which
+    /// must be this map's [`ValenceMap::packed_system`]: the raw root
+    /// first, else one lookup of `ps` — of its canonical form, in a
+    /// quotient map. Decodes nothing.
+    pub fn packed_id_of(&self, packed: &PackedSystem<'_, P>, ps: &PackedState) -> Option<StateId> {
+        match self.sym {
+            None => self.store.get(ps),
+            Some(_) if ps == self.packed_root() => Some(self.root),
+            Some(_) => self.store.get(&packed.canonical_with_sym(ps).0),
+        }
+    }
+
     /// Resolve an id back to its state, decoding it on first use (once
     /// per id; later calls return the same state).
     #[inline]
@@ -509,7 +542,13 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// The decision each process has recorded at `id`, in process
     /// order, read from the packed process slots.
     pub fn decisions_id(&self, id: StateId) -> impl Iterator<Item = Option<&Val>> {
-        self.proc_slots(id)
+        self.decisions_of(self.store.resolve(id))
+    }
+
+    /// The decision each process has recorded in packed state `ps` of
+    /// [`ValenceMap::packed_system`], in process order.
+    fn decisions_of<'a>(&'a self, ps: &'a PackedState) -> impl Iterator<Item = Option<&'a Val>> {
+        ps.comps()[..self.decoder.process_count()]
             .iter()
             .map(|&pc| self.decisions[pc as usize].as_ref())
     }
@@ -525,7 +564,17 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
 
     /// Whether some process has decided `v` at `id`.
     pub fn has_decided_id(&self, id: StateId, v: &Val) -> bool {
-        self.decisions_id(id).any(|d| d == Some(v))
+        self.has_decided_packed(self.store.resolve(id), v)
+    }
+
+    /// Whether some process has decided `v` in packed state `ps` of
+    /// [`ValenceMap::packed_system`] — read from its process component
+    /// ids, so `ps` need not be in the map, only reachable from its
+    /// root: every process component of such a state was interned when
+    /// the map was built (in a quotient map, a concrete state's process
+    /// components are its representative's, permuted).
+    pub fn has_decided_packed(&self, ps: &PackedState, v: &Val) -> bool {
+        self.decisions_of(ps).any(|d| d == Some(v))
     }
 
     /// The process component ids of `id`, one per process.
@@ -610,8 +659,9 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// representative* of the concrete successor — and when `s` itself
     /// resolved via its representative, the edge followed is the
     /// representative's. Callers that need a concrete (per-path) walk,
-    /// like the hook search, must step with the system's own
-    /// transition function and use the map only as a valence oracle.
+    /// like the hook search, step [`ValenceMap::packed_system`] instead
+    /// and use the map only as a valence and decision oracle
+    /// ([`ValenceMap::packed_id_of`]).
     pub fn apply(&self, t: &Task, s: &SystemState<P::State>) -> Option<SystemState<P::State>> {
         let id = self.id_of(s)?;
         self.successors(id)

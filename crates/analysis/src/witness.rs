@@ -9,9 +9,10 @@
 //!    root's valence map, exhaustively model-check failure-free safety
 //!    (agreement, validity) on it, and record the root's valence;
 //! 2. apply Lemma 4's rules to those valences: the first bivalent
-//!    initialization (its map is rebuilt for the next stage) — or, if
-//!    all are univalent, the adjacent flip pair its proof uses;
-//! 3. run the Fig. 3 construction to a hook (Lemma 5);
+//!    initialization — or, if all are univalent, the adjacent flip pair
+//!    its proof uses;
+//! 3. run the Fig. 3 construction to a hook (Lemma 5) on the bivalent
+//!    root's map, inside the walk while that map is alive;
 //! 4. run the Lemma 8 case analysis to locate the j-/k-similar pair
 //!    with opposite valences;
 //! 5. execute the Lemma 6/7 failure argument on that pair, producing a
@@ -266,39 +267,46 @@ pub fn find_witness<P: ProcessAutomaton>(
     bounds: Bounds,
 ) -> Result<ImpossibilityWitness<P>, WitnessError> {
     let n = sys.process_count();
-    let build = |assignment: &InputAssignment| {
-        ValenceMap::build_with_symmetry(
+
+    // Stages 1–3: one walk over α_0, …, α_n. Each root's map is built
+    // once, safety-scanned and asked for the root's valence, then
+    // dropped before the next build, so at most one map is alive. The
+    // root that settles Lemma 4, when it is bivalent, also runs the
+    // hook search on its live map. A safety violation or a truncation
+    // at any later root still wins over every Lemma 4 outcome.
+    let mut valences = Vec::with_capacity(n + 1);
+    let mut settled = None;
+    let mut hook_outcome = None;
+    for ones in 0..=n {
+        let assignment = InputAssignment::monotone(n, ones);
+        let map = ValenceMap::build_with_symmetry(
             sys,
-            initialize(sys, assignment),
+            initialize(sys, &assignment),
             bounds.max_states,
             bounds.threads,
             bounds.symmetry,
-        )
-    };
-
-    // Stages 1–2: one walk over α_0, …, α_n. Each root's map is built
-    // once, safety-scanned and asked for the root's valence, then
-    // dropped before the next build, so at most one map is alive. A
-    // safety violation at any root wins over every Lemma 4 outcome.
-    let mut valences = Vec::with_capacity(n + 1);
-    for ones in 0..=n {
-        let assignment = InputAssignment::monotone(n, ones);
-        let map = build(&assignment)?;
+        )?;
         if let Some(violation) = safety_scan(sys, &assignment, &map) {
             return Ok(ImpossibilityWitness::Safety {
                 assignment,
                 violation,
             });
         }
-        valences.push(map.valence_id(map.root_id()));
+        let v = map.valence_id(map.root_id());
+        if settled.is_none() {
+            settled = Lemma4::settled_by(n, ones, v);
+            if settled == Some(Lemma4::Bivalent(ones)) {
+                // Stage 3: Lemma 5 / Fig. 3.
+                hook_outcome = Some(find_hook(sys, &map, bounds.max_hook_iterations));
+            }
+        }
+        valences.push(v);
     }
 
-    match Lemma4::of(&valences) {
+    match settled.unwrap_or_else(|| Lemma4::of(&valences)) {
         Lemma4::Bivalent(ones) => {
             let assignment = InputAssignment::monotone(n, ones);
-            let map = build(&assignment)?;
-            // Stage 3: Lemma 5 / Fig. 3.
-            match find_hook(sys, &map, bounds.max_hook_iterations) {
+            match hook_outcome.expect("the bivalent root ran the hook search") {
                 HookOutcome::Hook(hook) => {
                     // Stage 4: Lemma 8 case analysis.
                     let similarity = analyze_hook(sys, &hook);

@@ -37,7 +37,7 @@ use crate::effect_cache::{BranchEntry, EffectCache, PopEntry, ProcStepEntry};
 use crate::process::ProcessAutomaton;
 use ioa::automaton::{ActionKind, Automaton, CacheStats};
 use ioa::canon::{Perm, SymGroup, SymmetryMode};
-use ioa::store::{fx_hash, CompId, Interner};
+use ioa::store::{fx_hash, BuildFxHasher, CompId, Interner};
 use services::SvcState;
 use spec::{Inv, ProcId, Resp, SvcId};
 use std::cmp::Ordering;
@@ -100,10 +100,12 @@ impl PackedState {
 /// The two sub-arenas grow monotonically behind [`RwLock`]s —
 /// transition enumeration takes read locks, interning fresh components
 /// takes write locks (always `procs` before `svcs`). The explorer's
-/// scoped workers share one `PackedSystem` across threads, and each
+/// scoped workers share one `PackedSystem` across threads. Each
 /// [`Decoder`] handed out by [`PackedSystem::decoder`] shares the
-/// arenas by `Arc`, so packed states stay decodable after the packed
-/// system itself is gone.
+/// arenas, the effect cache and the canonicalizer's memo by `Arc`, so
+/// packed states stay decodable after the packed system itself is
+/// gone, and [`PackedSystem::resume`] rebuilds a packed system over
+/// the very same (warm) tables.
 #[derive(Debug)]
 pub struct PackedSystem<'s, P: ProcessAutomaton> {
     sys: &'s CompleteSystem<P>,
@@ -114,10 +116,10 @@ pub struct PackedSystem<'s, P: ProcessAutomaton> {
     /// The transition-effect cache (see [`crate::effect_cache`]).
     /// `None` disables memoization — the reference path the
     /// differential suite compares against.
-    cache: Option<EffectCache>,
+    cache: Option<Arc<EffectCache>>,
     /// Orbit-canonicalization state (`None` when the system is not
     /// symmetric or the mode is [`SymmetryMode::Off`]).
-    symmetry: Option<Symmetry>,
+    symmetry: Option<Arc<Symmetry>>,
 }
 
 /// The canonicalizer's lazy memo tables. The group itself is never
@@ -134,11 +136,13 @@ pub struct PackedSystem<'s, P: ProcessAutomaton> {
 /// its image under `π` is a different component. `svc_maps[π][sc]`
 /// memoizes the interned id of `π` applied to service component `sc`;
 /// entries are filled on demand, and since interning is idempotent a
-/// racing fill writes the identical id.
-#[derive(Debug)]
+/// racing fill writes the identical id. Each permutation's table is
+/// sparse: a walk over concrete states meets many permutations, each
+/// applied to a handful of the service components.
+#[derive(Debug, Default)]
 struct Symmetry {
     /// `svc_maps[π][sc]` = interned id of `π · resolve(sc)`.
-    svc_maps: RwLock<HashMap<Perm, Vec<Option<u32>>>>,
+    svc_maps: RwLock<HashMap<Perm, HashMap<u32, u32, BuildFxHasher>>>,
 }
 
 /// A [`StateView`] over a packed state: holds read guards on both
@@ -203,13 +207,39 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 .map(move |g| (SvcId(c), g))
                 .collect::<Vec<_>>()
         });
-        p.cache = Some(EffectCache::new(p.n, p.m, globals));
+        p.cache = Some(Arc::new(EffectCache::new(p.n, p.m, globals)));
         if mode.reduces() && Self::symmetric_system(sys) {
-            p.symmetry = Some(Symmetry {
-                svc_maps: RwLock::new(HashMap::new()),
-            });
+            p.symmetry = Some(Arc::default());
         }
         p
+    }
+
+    /// The packed system `handle` was taken from, resumed over the same
+    /// component sub-arenas, effect cache and canonicalizer memo: its
+    /// packed states are interchangeable with the original's, and every
+    /// transition effect and service remap the original computed is
+    /// served warm. `sys` must be the system the original packed system
+    /// wrapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sys` has a different process or service count than
+    /// the handle's packed states.
+    pub fn resume(sys: &'s CompleteSystem<P>, handle: &Decoder<P::State>) -> Self {
+        assert_eq!(
+            (sys.process_count(), sys.services().len()),
+            (handle.n, handle.m),
+            "resumed on a system of a different shape"
+        );
+        PackedSystem {
+            sys,
+            n: handle.n,
+            m: handle.m,
+            procs: Arc::clone(&handle.procs),
+            svcs: Arc::clone(&handle.svcs),
+            cache: handle.cache.clone(),
+            symmetry: handle.symmetry.clone(),
+        }
     }
 
     /// Whether `sys` satisfies the orbit canonicalizer's symmetry
@@ -347,12 +377,12 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// once, so the lock order stays trivially acyclic.
     fn svc_remap(&self, p: &Perm, sc: u32) -> u32 {
         let sym = self.symmetry.as_ref().expect("symmetry enabled");
-        if let Some(&Some(v)) = sym
+        if let Some(&v) = sym
             .svc_maps
             .read()
             .expect("svc remap lock poisoned")
             .get(p)
-            .and_then(|memo| memo.get(sc as usize))
+            .and_then(|memo| memo.get(&sc))
         {
             return v;
         }
@@ -367,14 +397,14 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 .intern(permuted)
                 .0,
         );
-        let mut maps = sym.svc_maps.write().expect("svc remap lock poisoned");
-        let memo = maps.entry(p.clone()).or_default();
-        if memo.len() <= sc as usize {
-            memo.resize(sc as usize + 1, None);
-        }
         // Racing writers store the identical id (interning is
         // idempotent within a run).
-        memo[sc as usize] = Some(sc2);
+        sym.svc_maps
+            .write()
+            .expect("svc remap lock poisoned")
+            .entry(p.clone())
+            .or_default()
+            .insert(sc, sc2);
         sc2
     }
 
@@ -724,8 +754,9 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         self.decoder().decode(ps)
     }
 
-    /// A read-only handle on the component sub-arenas: decodes and
-    /// looks up packed states of this system without borrowing it.
+    /// A handle on this system's tables: decodes and looks up packed
+    /// states without borrowing the packed system, and resumes it
+    /// ([`PackedSystem::resume`]).
     #[must_use]
     pub fn decoder(&self) -> Decoder<P::State> {
         Decoder {
@@ -733,22 +764,30 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             m: self.m,
             procs: Arc::clone(&self.procs),
             svcs: Arc::clone(&self.svcs),
+            cache: self.cache.clone(),
+            symmetry: self.symmetry.clone(),
         }
     }
 }
 
-/// A read-only handle on a [`PackedSystem`]'s component sub-arenas.
+/// A handle on a [`PackedSystem`]'s tables: the component sub-arenas,
+/// the transition-effect cache and the canonicalizer's service-remap
+/// memo.
 ///
-/// The arenas are append-only and shared by `Arc`, so a handle keeps
+/// The tables are append-only and shared by `Arc`, so a handle keeps
 /// every packed state the system produced decodable — including after
 /// the [`PackedSystem`] is dropped, and while it keeps interning fresh
-/// components for later explorations.
+/// components for later explorations — and
+/// [`PackedSystem::resume`] steps from those states with every cached
+/// effect and canonical form still warm.
 #[derive(Debug)]
 pub struct Decoder<PS> {
     n: usize,
     m: usize,
     procs: Arc<RwLock<Interner<PS>>>,
     svcs: Arc<RwLock<Interner<SvcState>>>,
+    cache: Option<Arc<EffectCache>>,
+    symmetry: Option<Arc<Symmetry>>,
 }
 
 impl<PS: Clone + Hash + Eq> Decoder<PS> {
@@ -1119,7 +1158,7 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(EffectCache::stats)
+        self.cache.as_deref().map(EffectCache::stats)
     }
 
     fn succ_counted(
@@ -1398,6 +1437,62 @@ mod tests {
             let b: std::collections::BTreeSet<_> = moved.iter().collect();
             assert_eq!(a, b, "perm {p:?}");
         }
+    }
+
+    #[test]
+    fn resumed_system_steps_warm_over_the_same_tables() {
+        let sys = direct_system(3, 1);
+        let packed = PackedSystem::with_symmetry(&sys, SymmetryMode::Full);
+        let (s, ps) = paired_state(&sys, &packed);
+        let tasks = sys.tasks();
+        let succs: Vec<_> = tasks.iter().map(|t| packed.succ_all(t, &ps)).collect();
+        let (rep, sigma) = packed.canonical_with_sym(&ps);
+        let handle = packed.decoder();
+        drop(packed);
+
+        let resumed = PackedSystem::resume(&sys, &handle);
+        assert_eq!(resumed.symmetry_mode(), SymmetryMode::Full);
+        let before = resumed.cache_stats().expect("the cache came along");
+        let again: Vec<_> = tasks.iter().map(|t| resumed.succ_all(t, &ps)).collect();
+        assert_eq!(again, succs, "same packed successors, same component ids");
+        let warm = resumed.cache_stats().expect("cache").since(&before);
+        assert_eq!((warm.hits, warm.misses), (tasks.len() as u64, 0));
+        assert_eq!(resumed.canonical_with_sym(&ps), (rep, sigma));
+        assert_eq!(resumed.decode(&ps), s);
+    }
+
+    #[test]
+    fn remap_memo_holds_only_the_pairs_used() {
+        let sys = direct_system(4, 2);
+        let packed = PackedSystem::with_symmetry(&sys, SymmetryMode::Full);
+        let mut s = sys.single_initial_state();
+        s = sys.init(&s, ProcId(3), Val::Int(1));
+        let (_, s) = sys
+            .succ_all(&Task::Proc(ProcId(3)), &s)
+            .into_iter()
+            .next()
+            .expect("invoke step");
+        // An orbit member that is not its own representative.
+        let moved = Perm::all(4)
+            .iter()
+            .map(|p| packed.encode(&permute_system_state(p, &s)))
+            .find(|ps| packed.canonical_with_sym(ps).0 != *ps)
+            .expect("the orbit has more than one member");
+        let memo = packed.symmetry.as_ref().expect("active");
+        memo.svc_maps.write().expect("lock").clear();
+        let (_, sigma) = packed.canonical_with_sym(&moved);
+        let maps = memo.svc_maps.read().expect("lock");
+        // One permutation, applied to the one service component.
+        assert_eq!(maps.len(), 1);
+        assert_eq!(maps[&sigma].len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "resumed on a system of a different shape")]
+    fn resume_rejects_a_differently_shaped_system() {
+        let small = direct_system(2, 0);
+        let handle = PackedSystem::new(&small).decoder();
+        let _ = PackedSystem::resume(&direct_system(3, 1), &handle);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! deep semantics (`CompleteSystem::decision`, `check_safety`, a
 //! fixpoint recomputed over decoded states) on every id of every
 //! monotone root's map, for every doomed substrate, with and without
-//! the symmetry quotient. The decode gate at the end pins the other
+//! the symmetry quotient. The decode gates at the end pin the other
 //! half of the contract: a witness-style pass (build, `always(safe)`
-//! scan, root valence) decodes nothing but the root.
+//! scan, root valence) and the hook search on the bivalent root's map
+//! decode nothing but the root.
 
+use analysis::hook::{find_hook, HookOutcome};
+use analysis::init::{find_bivalent_init_sym, InitOutcome};
 use analysis::prop::{atoms, evaluate, Prop, SystemGraph, Verdict};
 use analysis::valence::ValenceMap;
 use ioa::store::StateId;
@@ -263,4 +266,44 @@ fn assert_root_only_decode<P: ProcessAutomaton>(name: &str, sys: &CompleteSystem
 fn decode_gate_witness_stages_decode_only_the_root() {
     assert_root_only_decode("atomic n=4,f=2", &doomed_atomic(4, 2));
     assert_root_only_decode("general n=3,f=1", &doomed_general(3, 1));
+}
+
+/// The Fig. 3 construction on the bivalent root's map steps packed
+/// states and decodes only the hook's corners — none of them through
+/// the map — so the map still holds the root alone decoded.
+fn assert_hook_decodes_only_the_root<P: ProcessAutomaton>(
+    name: &str,
+    sys: &CompleteSystem<P>,
+    mode: SymmetryMode,
+) {
+    let InitOutcome::Bivalent { map, .. } =
+        find_bivalent_init_sym(sys, MAX_STATES, 1, mode).unwrap_or_else(|e| panic!("{name}: {e}"))
+    else {
+        panic!("{name}: expected a bivalent initialization")
+    };
+    let outcome = find_hook(sys, &map, 20_000);
+    assert!(
+        matches!(outcome, HookOutcome::Hook(_)),
+        "{name}: {outcome:?}"
+    );
+    assert_eq!(map.decoded(), 1, "{name}: only the root may be decoded");
+}
+
+#[test]
+fn decode_gate_hook_search_decodes_only_the_root() {
+    assert_hook_decodes_only_the_root(
+        "atomic n=4,f=2 Full",
+        &doomed_atomic(4, 2),
+        SymmetryMode::Full,
+    );
+    assert_hook_decodes_only_the_root(
+        "atomic n=3,f=1 Off",
+        &doomed_atomic(3, 1),
+        SymmetryMode::Off,
+    );
+    assert_hook_decodes_only_the_root(
+        "oblivious n=3,f=1",
+        &doomed_oblivious(3, 1),
+        SymmetryMode::Off,
+    );
 }
