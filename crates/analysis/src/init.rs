@@ -166,25 +166,10 @@ pub fn find_bivalent_init<P: ProcessAutomaton>(
     sys: &CompleteSystem<P>,
     max_states: usize,
 ) -> Result<InitOutcome<P>, Truncated> {
-    find_bivalent_init_with(sys, max_states, 0)
+    find_bivalent_init_sym(sys, max_states, SymmetryMode::from_env())
 }
 
-/// [`find_bivalent_init`] with an explicit exploration worker-thread
-/// count (`0` = auto); the outcome is identical for every count.
-///
-/// # Errors
-///
-/// Returns [`Truncated`] if some initialization's reachable space
-/// exceeds `max_states`.
-pub fn find_bivalent_init_with<P: ProcessAutomaton>(
-    sys: &CompleteSystem<P>,
-    max_states: usize,
-    threads: usize,
-) -> Result<InitOutcome<P>, Truncated> {
-    find_bivalent_init_sym(sys, max_states, threads, SymmetryMode::from_env())
-}
-
-/// [`find_bivalent_init_with`] with an explicit [`SymmetryMode`]
+/// [`find_bivalent_init`] with an explicit [`SymmetryMode`]
 /// instead of the `SYMMETRY` environment default. Under
 /// [`SymmetryMode::Full`] the valence maps are symmetry quotients;
 /// the classification of each `α_j` is unchanged (valence is an
@@ -198,7 +183,6 @@ pub fn find_bivalent_init_with<P: ProcessAutomaton>(
 pub fn find_bivalent_init_sym<P: ProcessAutomaton>(
     sys: &CompleteSystem<P>,
     max_states: usize,
-    threads: usize,
     symmetry: SymmetryMode,
 ) -> Result<InitOutcome<P>, Truncated> {
     let n = sys.process_count();
@@ -214,7 +198,7 @@ pub fn find_bivalent_init_sym<P: ProcessAutomaton>(
     let mut valences: Vec<Valence> = Vec::with_capacity(n + 1);
     for ones in 0..=n {
         let root = initialize(sys, &InputAssignment::monotone(n, ones));
-        let map = ValenceMap::build_in(sys, &packed, root.clone(), max_states, threads)?;
+        let map = ValenceMap::build_in(sys, &packed, root.clone(), max_states, 1)?;
         let v = map.valence(&root);
         if let Some(settled) = Lemma4::settled_by(n, ones, v) {
             return Ok(settled.outcome(n, Some(map)));

@@ -63,7 +63,6 @@ pub mod audit;
 pub mod graph;
 pub mod hook;
 pub mod init;
-pub mod iso;
 pub mod prop;
 pub mod replay;
 pub mod resilience;

@@ -22,7 +22,7 @@
 //! ([`ValenceMap::packed_id_of`], [`ValenceMap::has_decided_packed`]).
 
 use ioa::canon::{SymGroup, SymmetryMode};
-use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph, FrontierMode};
+use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph};
 use ioa::store::{StateId, StateStore};
 use ioa::Csr;
 use spec::{ProcId, Val};
@@ -165,7 +165,7 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     sym: Option<SymGroup>,
 }
 
-// Compile-time audit: a finished map is shared read-only across
+// Compile-time audit: a finished map can be shared read-only across
 // threads; lazy decoding goes through `OnceLock`, not interior `Cell`s.
 const _: () = {
     const fn is_send_sync<T: Send + Sync>() {}
@@ -186,32 +186,14 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         root: SystemState<P::State>,
         max_states: usize,
     ) -> Result<Self, Truncated> {
-        Self::build_with(sys, root, max_states, 0)
-    }
-
-    /// [`ValenceMap::build`] with an explicit exploration worker-thread
-    /// count (`0` = auto, see [`ExploreOptions::threads`]). The
-    /// resulting map is bit-identical for every thread count; the knob
-    /// only trades wall-clock time for cores during the `G(C)` sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Truncated`] if the reachable space exceeds
-    /// `max_states` — all valence answers would be unsound.
-    pub fn build_with(
-        sys: &CompleteSystem<P>,
-        root: SystemState<P::State>,
-        max_states: usize,
-        threads: usize,
-    ) -> Result<Self, Truncated> {
         // Explore over the packed representation: successors are flat
         // component-id copies, and each distinct component state pays
         // its deep hash/clone exactly once in the sub-arenas.
         let packed = PackedSystem::new(sys);
-        Self::build_in(sys, &packed, root, max_states, threads)
+        Self::build_in(sys, &packed, root, max_states, 1)
     }
 
-    /// [`ValenceMap::build_with`] with an explicit symmetry mode:
+    /// [`ValenceMap::build`] with an explicit symmetry mode:
     /// under [`SymmetryMode::Full`] (and a symmetric system) the
     /// reachable graph is the orbit quotient — every successor is
     /// canonicalized to its orbit representative before interning, so
@@ -224,6 +206,9 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// (with a warning on stderr) instead of being trusted — a lying
     /// flag degrades the quotient, it cannot corrupt valence verdicts.
     ///
+    /// `threads` is ignored; exploration is sequential; removed with
+    /// the next benchmark change.
+    ///
     /// # Errors
     ///
     /// Returns [`Truncated`] if the reachable space exceeds
@@ -232,21 +217,24 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         sys: &CompleteSystem<P>,
         root: SystemState<P::State>,
         max_states: usize,
-        threads: usize,
+        _threads: usize,
         symmetry: SymmetryMode,
     ) -> Result<Self, Truncated> {
         let symmetry = crate::audit::effective_symmetry(sys, symmetry);
         let packed = PackedSystem::with_symmetry(sys, symmetry);
-        Self::build_in(sys, &packed, root, max_states, threads)
+        Self::build_in(sys, &packed, root, max_states, 1)
     }
 
-    /// [`ValenceMap::build_with`] over a caller-provided
+    /// [`ValenceMap::build`] over a caller-provided
     /// [`PackedSystem`]. The packed system's component sub-arenas and
     /// transition-effect cache persist across calls, so building
     /// several maps of the *same* system (the Lemma 4 walk builds
     /// `n + 1`) pays each distinct component transition once globally
     /// instead of once per map — after the first build the rest run
     /// almost entirely out of the cache.
+    ///
+    /// `threads` is ignored; exploration is sequential; removed with
+    /// the next benchmark change.
     ///
     /// # Errors
     ///
@@ -257,42 +245,17 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         packed: &PackedSystem<'_, P>,
         root: SystemState<P::State>,
         max_states: usize,
-        threads: usize,
-    ) -> Result<Self, Truncated> {
-        Self::build_in_with(sys, packed, root, max_states, threads, FrontierMode::Auto)
-    }
-
-    /// [`ValenceMap::build_in`] with an explicit frontier discipline.
-    /// Complete explorations renumber to the identical graph under
-    /// every [`FrontierMode`], so the resulting map is bit-identical
-    /// either way; the knob exists so differential suites can pin the
-    /// work-stealing path explicitly instead of routing through the
-    /// process-global [`ioa::explore::FRONTIER_ENV`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Truncated`] if the reachable space exceeds
-    /// `max_states` — all valence answers would be unsound.
-    pub fn build_in_with(
-        sys: &CompleteSystem<P>,
-        packed: &PackedSystem<'_, P>,
-        root: SystemState<P::State>,
-        max_states: usize,
-        threads: usize,
-        frontier: FrontierMode,
+        _threads: usize,
     ) -> Result<Self, Truncated> {
         let packed_root = packed.encode(&root);
         let graph = ExploredGraph::explore_with(
             packed,
             vec![packed_root],
             ExploreOptions {
-                max_states,
                 skip_self_loops: true,
-                threads,
                 // Quotient exactly when the packed system's orbit
                 // canonicalizer is active; roots stay raw either way.
-                symmetry: packed.symmetry_mode(),
-                frontier,
+                ..ExploreOptions::with_budget(max_states).with_symmetry(packed.symmetry_mode())
             },
         );
         if graph.stats().truncated() {

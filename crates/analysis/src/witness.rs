@@ -48,9 +48,8 @@ pub struct Bounds {
     pub max_hook_iterations: usize,
     /// Steps per refutation run.
     pub max_run_steps: usize,
-    /// Exploration worker threads per valence map (`0` = auto, see
-    /// [`ioa::explore::ExploreOptions::threads`]). The witness is
-    /// bit-identical for every count.
+    /// Ignored; exploration is sequential; removed with the next
+    /// benchmark change.
     pub threads: usize,
     /// Symmetry reduction for the valence maps (see
     /// [`ioa::canon::SymmetryMode`]). Under [`SymmetryMode::Full`] on
@@ -74,13 +73,6 @@ impl Default for Bounds {
 }
 
 impl Bounds {
-    /// The same bounds with an explicit exploration worker count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// The same bounds with an explicit symmetry mode (overriding the
     /// `SYMMETRY` environment default).
     #[must_use]
@@ -283,7 +275,7 @@ pub fn find_witness<P: ProcessAutomaton>(
             sys,
             initialize(sys, &assignment),
             bounds.max_states,
-            bounds.threads,
+            1,
             bounds.symmetry,
         )?;
         if let Some(violation) = safety_scan(sys, &assignment, &map) {

@@ -206,8 +206,8 @@ fn assert_maps_bit_identical<P: system::process::ProcessAutomaton>(
 /// The component-interned explorer ([`system::packed::PackedSystem`])
 /// must reproduce the deep-clone explorer's graph bit for bit — same
 /// `StateId` assignment, states (after decoding), edge lists, BFS-tree
-/// parents and stats — on all three paper substrates, at every thread
-/// count, both exhaustively and under tight truncation budgets.
+/// parents and stats — on all three paper substrates, both
+/// exhaustively and under tight truncation budgets.
 #[test]
 fn packed_exploration_matches_deep_exploration_bit_for_bit() {
     use ioa::explore::{ExploreOptions, ExploredGraph};
@@ -219,44 +219,33 @@ fn packed_exploration_matches_deep_exploration_bit_for_bit() {
         root: &SystemState<P::State>,
         cap: usize,
     ) {
-        for threads in [1, 2, 4] {
-            let opts = ExploreOptions {
-                max_states: cap,
-                skip_self_loops: true,
-                threads,
-                symmetry: ioa::SymmetryMode::Off,
-                // Pinned layered: these differentials include truncated
-                // budgets, where only the layer-synchronous merge
-                // promises a bit-identical admitted set (the
-                // work-stealing frontier's truncated subset is
-                // scheduling-dependent; tests/ws_differential.rs covers
-                // it with the isomorphism oracle instead).
-                frontier: ioa::FrontierMode::Layered,
-            };
-            let deep = ExploredGraph::explore_with(sys, vec![root.clone()], opts);
-            let packed = PackedSystem::with_symmetry(sys, ioa::SymmetryMode::Off);
-            let packed_root = packed.encode(root);
-            let pk = ExploredGraph::explore_with(&packed, vec![packed_root], opts);
-            let ctx = format!("{name} cap={cap} threads={threads}");
-            assert_eq!(deep.stats(), pk.stats(), "stats differ: {ctx}");
-            assert_eq!(deep.roots(), pk.roots(), "roots differ: {ctx}");
-            for id in deep.ids() {
-                assert_eq!(
-                    deep.resolve(id),
-                    &packed.decode(pk.resolve(id)),
-                    "state {id:?}: {ctx}"
-                );
-                assert_eq!(
-                    deep.successors(id),
-                    pk.successors(id),
-                    "edges {id:?}: {ctx}"
-                );
-                assert_eq!(
-                    deep.discovered_by(id),
-                    pk.discovered_by(id),
-                    "parent {id:?}: {ctx}"
-                );
-            }
+        let opts = ExploreOptions {
+            skip_self_loops: true,
+            ..ExploreOptions::with_budget(cap)
+        };
+        let deep = ExploredGraph::explore_with(sys, vec![root.clone()], opts);
+        let packed = PackedSystem::with_symmetry(sys, ioa::SymmetryMode::Off);
+        let packed_root = packed.encode(root);
+        let pk = ExploredGraph::explore_with(&packed, vec![packed_root], opts);
+        let ctx = format!("{name} cap={cap}");
+        assert_eq!(deep.stats(), pk.stats(), "stats differ: {ctx}");
+        assert_eq!(deep.roots(), pk.roots(), "roots differ: {ctx}");
+        for id in deep.ids() {
+            assert_eq!(
+                deep.resolve(id),
+                &packed.decode(pk.resolve(id)),
+                "state {id:?}: {ctx}"
+            );
+            assert_eq!(
+                deep.successors(id),
+                pk.successors(id),
+                "edges {id:?}: {ctx}"
+            );
+            assert_eq!(
+                deep.discovered_by(id),
+                pk.discovered_by(id),
+                "parent {id:?}: {ctx}"
+            );
         }
     }
 
@@ -281,97 +270,12 @@ fn packed_exploration_matches_deep_exploration_bit_for_bit() {
     check("fd(2)", &protocols::fd_boost::build(2));
 }
 
-/// Parallel exploration at threads ∈ {2, 4} over the three paper
-/// substrates — doomed-atomic (Theorem 2), totally-ordered broadcast
-/// (Theorem 9's candidate) and the failure-detector system (Theorem
-/// 10's candidate) — must reproduce the sequential valence map bit for
-/// bit.
-#[test]
-fn parallel_valence_maps_are_bit_identical_on_paper_substrates() {
-    fn check<P: system::process::ProcessAutomaton>(name: &str, sys: &CompleteSystem<P>) {
-        let n = sys.process_count();
-        for ones in 0..=n {
-            let root = initialize(sys, &InputAssignment::monotone(n, ones));
-            let seq = ValenceMap::build_with(sys, root.clone(), 1_000_000, 1).unwrap();
-            for threads in [2, 4] {
-                let par = ValenceMap::build_with(sys, root.clone(), 1_000_000, threads).unwrap();
-                let ctx = format!("{name} ones={ones} threads={threads}");
-                assert_maps_bit_identical(&seq, &par, &ctx);
-            }
-        }
-    }
-    check("doomed-atomic(2,0)", &direct(2, 0));
-    check("doomed-atomic(3,1)", &direct(3, 1));
-    check("tob(2,0)", &protocols::doomed::doomed_oblivious(2, 0));
-    check("fd(2)", &protocols::fd_boost::build(2));
-}
-
-/// Tight truncation budgets: mid-layer budget exhaustion must truncate
-/// at exactly the same state, with the same dropped-edge count, for
-/// every thread count.
-#[test]
-fn parallel_truncation_is_bit_identical_on_paper_substrates() {
-    use ioa::explore::{ExploreOptions, ExploredGraph};
-    fn check<P: system::process::ProcessAutomaton>(name: &str, sys: &CompleteSystem<P>) {
-        let n = sys.process_count();
-        let root = initialize(sys, &InputAssignment::monotone(n, 1));
-        let total = ValenceMap::build(sys, root.clone(), 1_000_000)
-            .unwrap()
-            .state_count();
-        // Budgets strictly inside the reachable space, so every one
-        // truncates mid-exploration.
-        for cap in [1 + total / 7, 1 + total / 3, (2 * total) / 3 + 1] {
-            let opts = ExploreOptions {
-                max_states: cap,
-                skip_self_loops: true,
-                threads: 1,
-                symmetry: ioa::SymmetryMode::Off,
-                // Pinned layered: these differentials include truncated
-                // budgets, where only the layer-synchronous merge
-                // promises a bit-identical admitted set (the
-                // work-stealing frontier's truncated subset is
-                // scheduling-dependent; tests/ws_differential.rs covers
-                // it with the isomorphism oracle instead).
-                frontier: ioa::FrontierMode::Layered,
-            };
-            let seq = ExploredGraph::explore_with(sys, vec![root.clone()], opts);
-            assert!(seq.stats().truncated(), "{name} cap={cap} not tight");
-            for threads in [2, 4] {
-                let par = ExploredGraph::explore_with(
-                    sys,
-                    vec![root.clone()],
-                    opts.with_threads(threads),
-                );
-                let ctx = format!("{name} cap={cap} threads={threads}");
-                assert_eq!(seq.stats(), par.stats(), "stats differ: {ctx}");
-                assert_eq!(seq.roots(), par.roots(), "roots differ: {ctx}");
-                for id in seq.ids() {
-                    assert_eq!(seq.resolve(id), par.resolve(id), "state {id:?}: {ctx}");
-                    assert_eq!(
-                        seq.successors(id),
-                        par.successors(id),
-                        "edges {id:?}: {ctx}"
-                    );
-                    assert_eq!(
-                        seq.discovered_by(id),
-                        par.discovered_by(id),
-                        "parent {id:?}: {ctx}"
-                    );
-                }
-            }
-        }
-    }
-    check("doomed-atomic(2,0)", &direct(2, 0));
-    check("tob(2,0)", &protocols::doomed::doomed_oblivious(2, 0));
-    check("fd(2)", &protocols::fd_boost::build(2));
-}
-
 /// The transition-effect cache (DESIGN §2.1.3) must be invisible in
 /// the produced graph: exploring with `PackedSystem::new` (cached) and
 /// `PackedSystem::new_uncached` (the PR 3 reference path) must yield
 /// the same ids, states, edge rows, BFS-tree parents and stats on all
-/// three paper substrates, at every thread count, both exhaustively
-/// and under tight truncation budgets. Only the `cache` census field
+/// three paper substrates, both exhaustively and under tight
+/// truncation budgets. Only the `cache` census field
 /// may differ — present on the cached run, absent on the reference.
 #[test]
 fn cached_exploration_matches_uncached_bit_for_bit() {
@@ -384,52 +288,41 @@ fn cached_exploration_matches_uncached_bit_for_bit() {
         root: &SystemState<P::State>,
         cap: usize,
     ) {
-        for threads in [1, 2, 4] {
-            let opts = ExploreOptions {
-                max_states: cap,
-                skip_self_loops: true,
-                threads,
-                symmetry: ioa::SymmetryMode::Off,
-                // Pinned layered: these differentials include truncated
-                // budgets, where only the layer-synchronous merge
-                // promises a bit-identical admitted set (the
-                // work-stealing frontier's truncated subset is
-                // scheduling-dependent; tests/ws_differential.rs covers
-                // it with the isomorphism oracle instead).
-                frontier: ioa::FrontierMode::Layered,
-            };
-            let reference = PackedSystem::new_uncached(sys);
-            let ref_root = reference.encode(root);
-            let base = ExploredGraph::explore_with(&reference, vec![ref_root], opts);
-            let cached = PackedSystem::with_symmetry(sys, ioa::SymmetryMode::Off);
-            let cached_root = cached.encode(root);
-            let ck = ExploredGraph::explore_with(&cached, vec![cached_root], opts);
-            let ctx = format!("{name} cap={cap} threads={threads}");
-            assert_eq!(base.stats(), ck.stats(), "stats differ: {ctx}");
-            assert_eq!(base.stats().cache, None, "uncached run reported stats");
-            let cs = ck
-                .stats()
-                .cache
-                .unwrap_or_else(|| panic!("cached run reported no cache census: {ctx}"));
-            assert!(cs.lookups() > 0, "cache never consulted: {ctx}");
-            assert_eq!(base.roots(), ck.roots(), "roots differ: {ctx}");
-            for id in base.ids() {
-                assert_eq!(
-                    &cached.decode(ck.resolve(id)),
-                    &reference.decode(base.resolve(id)),
-                    "state {id:?}: {ctx}"
-                );
-                assert_eq!(
-                    base.successors(id),
-                    ck.successors(id),
-                    "edges {id:?}: {ctx}"
-                );
-                assert_eq!(
-                    base.discovered_by(id),
-                    ck.discovered_by(id),
-                    "parent {id:?}: {ctx}"
-                );
-            }
+        let opts = ExploreOptions {
+            skip_self_loops: true,
+            ..ExploreOptions::with_budget(cap)
+        };
+        let reference = PackedSystem::new_uncached(sys);
+        let ref_root = reference.encode(root);
+        let base = ExploredGraph::explore_with(&reference, vec![ref_root], opts);
+        let cached = PackedSystem::with_symmetry(sys, ioa::SymmetryMode::Off);
+        let cached_root = cached.encode(root);
+        let ck = ExploredGraph::explore_with(&cached, vec![cached_root], opts);
+        let ctx = format!("{name} cap={cap}");
+        assert_eq!(base.stats(), ck.stats(), "stats differ: {ctx}");
+        assert_eq!(base.stats().cache, None, "uncached run reported stats");
+        let cs = ck
+            .stats()
+            .cache
+            .unwrap_or_else(|| panic!("cached run reported no cache census: {ctx}"));
+        assert!(cs.lookups() > 0, "cache never consulted: {ctx}");
+        assert_eq!(base.roots(), ck.roots(), "roots differ: {ctx}");
+        for id in base.ids() {
+            assert_eq!(
+                &cached.decode(ck.resolve(id)),
+                &reference.decode(base.resolve(id)),
+                "state {id:?}: {ctx}"
+            );
+            assert_eq!(
+                base.successors(id),
+                ck.successors(id),
+                "edges {id:?}: {ctx}"
+            );
+            assert_eq!(
+                base.discovered_by(id),
+                ck.discovered_by(id),
+                "parent {id:?}: {ctx}"
+            );
         }
     }
 
@@ -526,26 +419,4 @@ fn hook_is_identical_on_cold_warm_and_uncached_maps() {
     let h_uncached = find_hook(&sys, &uncached, 10_000);
     assert_eq!(format!("{h_warm:?}"), format!("{h_uncached:?}"));
     assert!(matches!(h_warm, HookOutcome::Hook(_)));
-}
-
-/// The Theorem 2 proof object — bivalent initialization, hook, Lemma 8
-/// similarity, Lemma 6/7 refutation run — must be identical whether
-/// the valence maps underneath were explored sequentially or in
-/// parallel. Debug formatting covers every field of every stage.
-#[test]
-fn theorem2_proof_objects_are_identical_under_parallel_explore() {
-    for (name, sys) in [
-        ("doomed-atomic(2,0)", direct(2, 0)),
-        ("doomed-atomic(3,1)", direct(3, 1)),
-    ] {
-        let seq = find_witness(&sys, 0, Bounds::default().with_threads(1)).unwrap();
-        for threads in [2, 4] {
-            let par = find_witness(&sys, 0, Bounds::default().with_threads(threads)).unwrap();
-            assert_eq!(
-                format!("{seq:?}"),
-                format!("{par:?}"),
-                "{name} threads={threads}"
-            );
-        }
-    }
 }

@@ -1,7 +1,6 @@
 //! Differential pinning of the property DSL against the hand-written
 //! legacy checks it re-expresses, over the real paper substrates
-//! (doomed-atomic, doomed-oblivious, doomed-general) at exploration
-//! thread counts 1 and 4.
+//! (doomed-atomic, doomed-oblivious, doomed-general).
 //!
 //! Three layers of agreement:
 //!
@@ -83,12 +82,12 @@ fn legacy_chain<P: ProcessAutomaton>(map: &ValenceMap<P>, id: StateId) -> Vec<St
     path
 }
 
-/// Every pinned comparison for one substrate at one thread count.
-fn pin_system<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize, threads: usize) {
+/// Every pinned comparison for one substrate.
+fn pin_system<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize) {
     let n = sys.process_count();
     let assignment = InputAssignment::monotone(n, ones);
     let root = initialize(sys, &assignment);
-    let map = ValenceMap::build_with(sys, root, BUDGET, threads).expect("budget is ample");
+    let map = ValenceMap::build(sys, root, BUDGET).expect("budget is ample");
     let graph = SystemGraph::new(sys, &map);
     let dist = naive_distances(&map);
 
@@ -227,11 +226,11 @@ fn pin_system<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize, threads
 
 /// Batch evaluation over a parsed textual property set: fused results
 /// equal the singleton evaluations, within the traversal budget.
-fn pin_batch<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize, threads: usize) {
+fn pin_batch<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize) {
     let n = sys.process_count();
     let assignment = InputAssignment::monotone(n, ones);
     let root = initialize(sys, &assignment);
-    let map = ValenceMap::build_with(sys, root, BUDGET, threads).expect("budget is ample");
+    let map = ValenceMap::build(sys, root, BUDGET).expect("budget is ample");
     let graph = SystemGraph::new(sys, &map);
     let vocab = system_vocab::<P>(assignment);
     let props = parse_props(
@@ -263,47 +262,41 @@ fn pin_batch<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize, threads:
 
 #[test]
 fn doomed_atomic_2_matches_legacy() {
-    for threads in [1, 4] {
-        let sys = doomed_atomic(2, 0);
-        pin_system(&sys, 1, threads);
-        pin_batch(&sys, 1, threads);
-    }
+    let sys = doomed_atomic(2, 0);
+    pin_system(&sys, 1);
+    pin_batch(&sys, 1);
 }
 
 #[test]
 fn doomed_atomic_3_matches_legacy() {
-    for threads in [1, 4] {
-        let sys = doomed_atomic(3, 1);
-        pin_system(&sys, 1, threads);
-        pin_batch(&sys, 1, threads);
-    }
+    let sys = doomed_atomic(3, 1);
+    pin_system(&sys, 1);
+    pin_batch(&sys, 1);
 }
 
 #[test]
 fn doomed_oblivious_matches_legacy() {
-    for threads in [1, 4] {
-        let sys = doomed_oblivious(2, 0);
-        pin_system(&sys, 1, threads);
-        pin_batch(&sys, 1, threads);
-    }
+    let sys = doomed_oblivious(2, 0);
+    pin_system(&sys, 1);
+    pin_batch(&sys, 1);
 }
 
 #[test]
 fn doomed_general_matches_legacy() {
-    for threads in [1, 4] {
-        let sys = doomed_general(2, 0);
-        pin_system(&sys, 1, threads);
-        pin_batch(&sys, 1, threads);
-    }
+    let sys = doomed_general(2, 0);
+    pin_system(&sys, 1);
+    pin_batch(&sys, 1);
 }
 
+/// Two independent builds (each over its own packed system, so its own
+/// component-id arenas) answer the same batch identically.
 #[test]
-fn thread_counts_agree_bit_for_bit() {
+fn independent_builds_agree_bit_for_bit() {
     let sys = doomed_atomic(2, 0);
     let assignment = InputAssignment::monotone(2, 1);
     let root = initialize(&sys, &assignment);
-    let m1 = ValenceMap::build_with(&sys, root.clone(), BUDGET, 1).unwrap();
-    let m4 = ValenceMap::build_with(&sys, root, BUDGET, 4).unwrap();
+    let m1 = ValenceMap::build(&sys, root.clone(), BUDGET).unwrap();
+    let m4 = ValenceMap::build(&sys, root, BUDGET).unwrap();
     let g1 = SystemGraph::new(&sys, &m1);
     let g4 = SystemGraph::new(&sys, &m4);
     let vocab = system_vocab::<_>(assignment);

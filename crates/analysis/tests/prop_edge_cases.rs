@@ -48,13 +48,7 @@ fn explore(limit: usize, budget: usize) -> ExploredGraph<Counter> {
     ExploredGraph::explore_with(
         &Counter { limit },
         vec![0],
-        ExploreOptions {
-            max_states: budget,
-            skip_self_loops: false,
-            threads: 1,
-            symmetry: ioa::SymmetryMode::Off,
-            frontier: ioa::FrontierMode::Auto,
-        },
+        ExploreOptions::with_budget(budget),
     )
 }
 
@@ -68,13 +62,7 @@ fn empty_graph_every_universal_holds_every_existential_fails() {
     let g = ExploredGraph::explore_with(
         &Counter { limit: 3 },
         Vec::new(),
-        ExploreOptions {
-            max_states: 10,
-            skip_self_loops: false,
-            threads: 1,
-            symmetry: ioa::SymmetryMode::Off,
-            frontier: ioa::FrontierMode::Auto,
-        },
+        ExploreOptions::with_budget(10),
     );
     assert_eq!(g.len(), 0);
     assert_eq!(evaluate(&g, &Prop::always(at(0))).verdict, Verdict::Holds);

@@ -7,7 +7,7 @@
 //! interned once; DESIGN §2.1.2). Three rows per scale point:
 //!
 //! * `explore_deep_*` — the pre-PR baseline, exploring
-//!   `CompleteSystem` directly (matches e13's `threads=1` rows);
+//!   `CompleteSystem` directly;
 //! * `explore_packed_*` — the packed sweep alone;
 //! * `explore_packed_decode_*` — packed sweep plus decoding every
 //!   state back to `SystemState`, which is exactly what
@@ -29,11 +29,8 @@ use system::sched::initialize;
 fn main() {
     let mut group = Group::new("e14_component_interning");
     let opts = ExploreOptions {
-        max_states: 5_000_000,
         skip_self_loops: true,
-        threads: 1,
-        symmetry: ioa::SymmetryMode::Off,
-        frontier: ioa::FrontierMode::Layered,
+        ..ExploreOptions::with_budget(5_000_000)
     };
     for (label, sys, _f) in bench_scales() {
         let n = sys.process_count();

@@ -31,11 +31,8 @@ use system::sched::initialize;
 fn main() {
     let mut group = Group::new("e15_effect_cache");
     let opts = ExploreOptions {
-        max_states: 5_000_000,
         skip_self_loops: true,
-        threads: 1,
-        symmetry: ioa::SymmetryMode::Off,
-        frontier: ioa::FrontierMode::Layered,
+        ..ExploreOptions::with_budget(5_000_000)
     };
     for (label, sys, _f) in bench_scales() {
         let n = sys.process_count();

@@ -44,7 +44,7 @@ fn main() {
         let n = sys.process_count();
         let assignment = InputAssignment::monotone(n, 1);
         let root = initialize(&sys, &assignment);
-        let map = ValenceMap::build_with(&sys, root, 5_000_000, 1).expect("ample budget");
+        let map = ValenceMap::build(&sys, root, 5_000_000).expect("ample budget");
         let graph = SystemGraph::new(&sys, &map);
         let vocab = system_vocab::<DirectConsensus>(assignment.clone());
         let props: Vec<Prop<'_, _>> = parse_props(PROPS, &vocab).expect("property set parses");

@@ -56,14 +56,8 @@ fn main() {
     });
     let root = initialize(&sys, &InputAssignment::monotone(4, 2));
     let build = || {
-        ValenceMap::build_with_symmetry(
-            &sys,
-            root.clone(),
-            PINNED.max_states,
-            PINNED.threads,
-            PINNED.symmetry,
-        )
-        .unwrap()
+        ValenceMap::build_with_symmetry(&sys, root.clone(), PINNED.max_states, 1, PINNED.symmetry)
+            .unwrap()
     };
     let (states, bytes) = build().footprint();
     // The closure returns the map, so the harness times its drop too.

@@ -97,13 +97,10 @@ impl CacheStats {
 /// they are applied with [`Automaton::apply_input`].
 ///
 /// Automata are `Sync` and their state/action/task types are
-/// `Send + Sync`: an automaton is an immutable transition relation, and
-/// the layer-synchronous parallel explorer
-/// ([`crate::explore::ExploredGraph::explore_with`] with
-/// `threads > 1`) shares one automaton reference across a scoped worker
-/// pool while successor states travel back to the merging thread. Every
-/// automaton in the tree is plain data, so these bounds are satisfied
-/// automatically.
+/// `Send + Sync`: an automaton is an immutable transition relation, so
+/// it and the graphs and valence maps built over it can be shared
+/// across threads by callers. Every automaton in the tree is plain
+/// data, so these bounds are satisfied automatically.
 pub trait Automaton: Sync {
     /// The state type. Orderable and hashable so that state spaces can
     /// be deduplicated and canonically sorted.

@@ -13,9 +13,9 @@
 //! group.
 //!
 //! Determinism matters here: quotient graphs must stay bit-identical
-//! across runs and thread counts, so [`Perm::all`] enumerates
-//! permutations in lexicographic order of their one-line notation, and
-//! nothing in this module depends on hashing or allocation order.
+//! across runs, so [`Perm::all`] enumerates permutations in
+//! lexicographic order of their one-line notation, and nothing in this
+//! module depends on hashing or allocation order.
 
 use std::env;
 use std::sync::Once;
@@ -204,7 +204,7 @@ impl Perm {
     /// their one-line notation. The identity comes first.
     ///
     /// Deterministic by construction — quotient graphs built from this
-    /// enumeration are bit-identical across runs and thread counts.
+    /// enumeration are bit-identical across runs.
     ///
     /// # Panics
     ///

@@ -190,9 +190,8 @@ where
 impl<A, F> Automaton for Hide<A, F>
 where
     A: Automaton,
-    // `Sync` because `Automaton: Sync` (the parallel explorer shares
-    // the automaton across worker threads); predicates are stateless
-    // in practice, so the bound costs nothing.
+    // `Sync` because `Automaton: Sync`; predicates are stateless in
+    // practice, so the bound costs nothing.
     F: Fn(&A::Action) -> bool + Sync,
 {
     type State = A::State;

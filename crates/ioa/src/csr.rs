@@ -9,10 +9,9 @@
 //! walk and `successors(id)` is a two-load slice.
 //!
 //! The BFS explorer emits edges grouped by source, with sources in
-//! strictly increasing [`StateId`](crate::store::StateId) order — both
-//! the sequential loop and the layer-synchronous parallel merge expand
-//! (and therefore close) one source at a time. That is exactly the
-//! order CSR rows are laid out in, so the structure is built
+//! strictly increasing [`StateId`](crate::store::StateId) order: it
+//! expands (and therefore closes) one source at a time. That is exactly
+//! the order CSR rows are laid out in, so the structure is built
 //! incrementally with [`Csr::push`]/[`Csr::close_row`] and no
 //! post-exploration repacking pass.
 //!
@@ -115,25 +114,6 @@ impl<E> Csr<E> {
     /// Iterate `(row, &entry)` over every entry of every closed row.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &E)> {
         (0..self.rows()).flat_map(move |r| self.row(r).iter().map(move |e| (r, e)))
-    }
-
-    /// Assemble a table directly from its parts — the finalization path
-    /// of the work-stealing explorer, which computes the offset table by
-    /// prefix sum and scatters entries in parallel rather than closing
-    /// rows one at a time.
-    ///
-    /// # Panics
-    /// Panics if `offsets` is not a monotone prefix-sum table starting
-    /// at 0 and ending at `entries.len()`.
-    #[must_use]
-    pub fn from_parts(offsets: Vec<u32>, entries: Vec<E>) -> Csr<E> {
-        assert!(
-            offsets.first() == Some(&0)
-                && offsets.last().map(|&o| o as usize) == Some(entries.len())
-                && offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be a prefix-sum table over the entries"
-        );
-        Csr { offsets, entries }
     }
 
     /// The transposed table: entry `e` in row `r` contributes

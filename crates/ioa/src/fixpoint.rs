@@ -21,7 +21,7 @@
 //! properties shares a single worklist sweep instead of re-walking the
 //! graph once per property. Fixpoints of monotone bit functions are
 //! confluent: the result is independent of worklist order and of how
-//! the underlying graph was explored (thread counts included).
+//! the underlying graph was explored.
 
 use crate::csr::Csr;
 use crate::store::StateId;

@@ -79,5 +79,4 @@ pub use automaton::{ActionKind, Automaton, CacheStats};
 pub use canon::{Perm, SymGroup, SymmetryMode};
 pub use csr::Csr;
 pub use execution::{Execution, Step};
-pub use explore::FrontierMode;
-pub use store::{CompId, Interner, ShardedStore, StateId, StateStore};
+pub use store::{CompId, Interner, StateId, StateStore};

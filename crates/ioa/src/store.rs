@@ -24,8 +24,6 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Multiplier from the FxHash family (64-bit): a single odd constant
 /// with good bit dispersion under `rotate ^ mul`.
@@ -239,10 +237,9 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     /// the state passed by value (moved into the arena on first sight,
     /// no clone).
     ///
-    /// This is the fast path of the parallel explorer: workers hash
-    /// candidate successors off the interner's thread, and the merge
-    /// loop inserts them without re-hashing. `hash` **must** equal
-    /// `fx_hash(&state)`; this is debug-asserted.
+    /// A walk that has already hashed a successor inserts it here
+    /// without re-hashing. `hash` **must** equal `fx_hash(&state)`;
+    /// this is debug-asserted.
     pub fn intern_prehashed(&mut self, state: S, hash: u64) -> (StateId, bool) {
         debug_assert_eq!(hash, fx_hash(&state), "prehashed value must match fx_hash");
         let bucket = self.buckets.entry(hash).or_default();
@@ -281,21 +278,6 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
         self.states.push(state);
         bucket.push(id);
         Some((id, true))
-    }
-
-    /// Look up the id of an already-interned state with a
-    /// caller-supplied hash, without inserting. Shared-read safe: the
-    /// parallel explorer's workers probe the frozen arena through this
-    /// while the merge thread is idle. `hash` **must** equal
-    /// `fx_hash(state)`.
-    #[must_use]
-    pub fn get_prehashed(&self, state: &S, hash: u64) -> Option<StateId> {
-        debug_assert_eq!(hash, fx_hash(state), "prehashed value must match fx_hash");
-        let bucket = self.buckets.get(&hash)?;
-        bucket
-            .iter()
-            .copied()
-            .find(|id| &self.states[id.index()] == state)
     }
 
     /// Look up the id of an already-interned state without inserting.
@@ -344,229 +326,6 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     /// Iterate all ids in discovery order.
     pub fn ids(&self) -> impl Iterator<Item = StateId> {
         (0..self.states.len() as u32).map(StateId)
-    }
-}
-
-/// Number of bits of a *provisional* [`StateId`] reserved for the shard
-/// index in a [`ShardedStore`]; the remaining low bits hold the local
-/// slot within the shard. Fixed regardless of the actual shard count,
-/// so provisional ids from stores of different widths pack identically.
-pub const SHARD_BITS: u32 = 6;
-
-/// Maximum shard count representable in the provisional id layout.
-pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
-
-const LOCAL_BITS: u32 = 32 - SHARD_BITS;
-const LOCAL_MASK: u32 = (1 << LOCAL_BITS) - 1;
-
-/// One stripe of a [`ShardedStore`]: a miniature `StateStore` whose
-/// bucket table maps hashes to *local* slot indices, plus the per-slot
-/// hash cache that lets finalization rebuild the dense bucket table
-/// without re-hashing a single state.
-#[derive(Debug)]
-struct Shard<S> {
-    states: Vec<S>,
-    /// `hashes[local] = fx_hash(states[local])`, recorded at intern time.
-    hashes: Vec<u64>,
-    buckets: HashMap<u64, Vec<u32>, BuildFxHasher>,
-}
-
-/// A concurrently-shared interning arena, hash-sharded into striped
-/// sub-stores so that parallel explorers intern without funneling
-/// through one writer (DESIGN §2.1.5).
-///
-/// Each state routes to the shard selected by the high bits of its fx
-/// hash; within a shard, interning is the same bucket-probe-then-append
-/// walk as [`StateStore`], under that shard's mutex only. Ids handed out
-/// are **provisional**: `shard << 26 | local slot` packed into a
-/// [`StateId`]. They are dense per shard but not globally, and their
-/// numeric order carries no discovery-order meaning — a work-stealing
-/// exploration renumbers them into dense BFS-order ids via
-/// [`ShardedStore::into_dense`] once the frontier drains.
-///
-/// The `max_states` budget is enforced *globally*, not per shard: a
-/// fresh insert first claims a slot from one shared atomic counter via
-/// compare-and-swap, so exactly `min(cap, |reachable|)` states are ever
-/// admitted regardless of how insertions race across shards — the same
-/// contract as [`StateStore::try_intern`].
-#[derive(Debug)]
-pub struct ShardedStore<S> {
-    shards: Box<[Mutex<Shard<S>>]>,
-    len: AtomicUsize,
-}
-
-impl<S: Hash + Eq + Clone> ShardedStore<S> {
-    /// Create a store with `shards` stripes, rounded up to a power of
-    /// two and clamped to `1..=`[`MAX_SHARDS`].
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_SHARDS).next_power_of_two();
-        let shards = (0..n)
-            .map(|_| {
-                Mutex::new(Shard {
-                    states: Vec::new(),
-                    hashes: Vec::new(),
-                    buckets: HashMap::default(),
-                })
-            })
-            .collect();
-        ShardedStore {
-            shards,
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of stripes (always a power of two).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total number of distinct states interned so far, across all
-    /// shards. Exact at any moment: the counter is claimed *before* a
-    /// state becomes visible in its shard.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
-    }
-
-    /// Whether no state has been interned yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    fn shard_of(&self, hash: u64) -> usize {
-        // High bits: the bucket tables already key on the full hash, so
-        // routing on a disjoint-ish bit range keeps shards balanced even
-        // for hash families with structured low bits.
-        ((hash >> 32) as usize) & (self.shards.len() - 1)
-    }
-
-    #[inline]
-    fn pack(shard: usize, local: u32) -> StateId {
-        StateId(((shard as u32) << LOCAL_BITS) | local)
-    }
-
-    /// Split a provisional id back into `(shard, local slot)`.
-    #[inline]
-    #[must_use]
-    pub fn split(id: StateId) -> (usize, usize) {
-        ((id.0 >> LOCAL_BITS) as usize, (id.0 & LOCAL_MASK) as usize)
-    }
-
-    /// Intern `state` (by reference; cloned only on first sight) if the
-    /// global budget allows, returning its provisional id and whether it
-    /// was fresh. Returns `None` — without inserting — when the state is
-    /// fresh but `cap` states have already been admitted globally.
-    /// `hash` **must** equal `fx_hash(state)`.
-    ///
-    /// # Panics
-    /// Panics if a single shard exceeds its 2^26 local-slot space.
-    pub fn try_intern_prehashed(
-        &self,
-        state: &S,
-        hash: u64,
-        cap: usize,
-    ) -> Option<(StateId, bool)> {
-        debug_assert_eq!(hash, fx_hash(state), "prehashed value must match fx_hash");
-        let sh = self.shard_of(hash);
-        let mut shard = self.shards[sh].lock().expect("shard mutex poisoned");
-        if let Some(bucket) = shard.buckets.get(&hash) {
-            for &loc in bucket {
-                if shard.states[loc as usize] == *state {
-                    return Some((Self::pack(sh, loc), false));
-                }
-            }
-        }
-        // Fresh: claim a slot from the global budget before the state
-        // becomes visible. fetch_update makes the claim atomic across
-        // shards, so concurrent inserts can never overshoot `cap`.
-        self.len
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < cap).then_some(n + 1)
-            })
-            .ok()?;
-        let loc = u32::try_from(shard.states.len()).expect("shard slot exceeds u32");
-        assert!(loc <= LOCAL_MASK, "shard exceeds 2^26 local slots");
-        shard.states.push(state.clone());
-        shard.hashes.push(hash);
-        shard.buckets.entry(hash).or_default().push(loc);
-        Some((Self::pack(sh, loc), true))
-    }
-
-    /// [`ShardedStore::try_intern_prehashed`] without a budget — the
-    /// root-admission path (roots are always admitted, mirroring
-    /// [`StateStore::intern`]).
-    pub fn intern_prehashed(&self, state: &S, hash: u64) -> (StateId, bool) {
-        self.try_intern_prehashed(state, hash, usize::MAX)
-            .expect("unbounded intern cannot be refused")
-    }
-
-    /// Look up the provisional id of an already-interned state without
-    /// inserting. `hash` **must** equal `fx_hash(state)`.
-    #[must_use]
-    pub fn get_prehashed(&self, state: &S, hash: u64) -> Option<StateId> {
-        debug_assert_eq!(hash, fx_hash(state), "prehashed value must match fx_hash");
-        let sh = self.shard_of(hash);
-        let shard = self.shards[sh].lock().expect("shard mutex poisoned");
-        let bucket = shard.buckets.get(&hash)?;
-        bucket
-            .iter()
-            .copied()
-            .find(|&loc| shard.states[loc as usize] == *state)
-            .map(|loc| Self::pack(sh, loc))
-    }
-
-    /// Per-shard state counts, indexed by shard — the sizing input for
-    /// the renumbering tables a finalizing exploration builds.
-    #[must_use]
-    pub fn local_counts(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|m| m.lock().expect("shard mutex poisoned").states.len())
-            .collect()
-    }
-
-    /// Consume the sharded store and lay its states out as a dense
-    /// [`StateStore`] in the order given by `order` (`order[dense] =
-    /// provisional id`). No state is cloned or re-hashed: states move
-    /// out of their shards, and the dense bucket table is rebuilt from
-    /// the hashes cached at intern time.
-    ///
-    /// `order` must enumerate every interned provisional id exactly
-    /// once — the renumbering a draining work-stealing BFS produces.
-    ///
-    /// # Panics
-    /// Panics if `order` misses or repeats a provisional id.
-    #[must_use]
-    pub fn into_dense(self, order: &[StateId]) -> StateStore<S> {
-        assert_eq!(order.len(), self.len(), "order must cover every state");
-        let mut pools: Vec<Vec<Option<(S, u64)>>> = self
-            .shards
-            .into_vec()
-            .into_iter()
-            .map(|m| {
-                let sh = m.into_inner().expect("shard mutex poisoned");
-                sh.states.into_iter().zip(sh.hashes).map(Some).collect()
-            })
-            .collect();
-        let mut states = Vec::with_capacity(order.len());
-        let mut buckets: HashMap<u64, Vec<StateId>, BuildFxHasher> =
-            HashMap::with_capacity_and_hasher(order.len(), BuildFxHasher::default());
-        for (dense, &prov) in order.iter().enumerate() {
-            let (sh, loc) = Self::split(prov);
-            let (state, hash) = pools[sh][loc]
-                .take()
-                .expect("each provisional id appears exactly once in the order");
-            states.push(state);
-            buckets
-                .entry(hash)
-                .or_default()
-                .push(StateId::from_index(dense));
-        }
-        StateStore { states, buckets }
     }
 }
 
@@ -812,7 +571,7 @@ mod tests {
         }
         assert_eq!(a.len(), b.len());
         for i in 0..64u64 {
-            assert_eq!(b.get_prehashed(&i, fx_hash(&i)), a.get(&i));
+            assert_eq!(b.get(&i), a.get(&i));
         }
         let (id, fresh) = b.intern_prehashed(99, fx_hash(&99u64));
         assert!(fresh);
@@ -876,112 +635,5 @@ mod tests {
     #[should_panic(expected = "exceeds u32::MAX")]
     fn comp_id_from_index_guards_u32_overflow() {
         let _ = CompId::from_index(u32::MAX as usize + 1);
-    }
-
-    #[test]
-    fn sharded_store_interns_each_state_once() {
-        let st: ShardedStore<u64> = ShardedStore::new(8);
-        assert_eq!(st.shard_count(), 8);
-        let mut ids = Vec::new();
-        for i in 0..100u64 {
-            let (id, fresh) = st.intern_prehashed(&i, fx_hash(&i));
-            assert!(fresh, "state {i} fresh on first sight");
-            ids.push(id);
-        }
-        for i in 0..100u64 {
-            let (id, fresh) = st.intern_prehashed(&i, fx_hash(&i));
-            assert!(!fresh, "state {i} known on second sight");
-            assert_eq!(id, ids[i as usize]);
-            assert_eq!(st.get_prehashed(&i, fx_hash(&i)), Some(id));
-        }
-        assert_eq!(st.len(), 100);
-        assert_eq!(st.get_prehashed(&999u64, fx_hash(&999u64)), None);
-        // Provisional ids are unique and split/pack roundtrips.
-        let mut seen = std::collections::HashSet::new();
-        for &id in &ids {
-            assert!(seen.insert(id), "duplicate provisional id {id:?}");
-            let (sh, loc) = ShardedStore::<u64>::split(id);
-            assert!(sh < st.shard_count());
-            assert!(loc < st.local_counts()[sh]);
-        }
-        assert_eq!(st.local_counts().iter().sum::<usize>(), 100);
-    }
-
-    #[test]
-    fn sharded_budget_is_globally_exact_under_contention() {
-        // 8 threads hammer overlapping ranges against a cap; the CAS
-        // budget must admit *exactly* `cap` distinct states no matter
-        // how the interleaving lands across shards.
-        let st: ShardedStore<u64> = ShardedStore::new(16);
-        let cap = 50;
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let st = &st;
-                scope.spawn(move || {
-                    for i in 0..200u64 {
-                        let v = (i + t * 7) % 150;
-                        let _ = st.try_intern_prehashed(&v, fx_hash(&v), cap);
-                    }
-                });
-            }
-        });
-        assert_eq!(st.len(), cap, "budget overshot or undershot");
-        // Whatever was admitted still hits (budget or not), and fresh
-        // states keep being refused.
-        let mut hits = 0;
-        for v in 0..150u64 {
-            if let Some((_, fresh)) = st.try_intern_prehashed(&v, fx_hash(&v), cap) {
-                assert!(!fresh, "no state can be fresh at the cap");
-                hits += 1;
-            }
-        }
-        assert_eq!(hits, cap, "exactly the admitted states probe as known");
-        assert_eq!(st.len(), cap);
-    }
-
-    #[test]
-    fn sharded_store_survives_degenerate_hash_collisions() {
-        #[derive(Clone, PartialEq, Eq, Debug)]
-        struct DegenerateHash(u32);
-        impl Hash for DegenerateHash {
-            fn hash<H: Hasher>(&self, state: &mut H) {
-                state.write_u64(3); // every value lands in one shard+bucket
-            }
-        }
-        let st: ShardedStore<DegenerateHash> = ShardedStore::new(4);
-        let h = fx_hash(&DegenerateHash(0));
-        let (a, _) = st.intern_prehashed(&DegenerateHash(1), h);
-        let (b, _) = st.intern_prehashed(&DegenerateHash(2), h);
-        assert_ne!(a, b);
-        assert_eq!(st.intern_prehashed(&DegenerateHash(1), h), (a, false));
-        assert_eq!(st.len(), 2);
-    }
-
-    #[test]
-    fn into_dense_lays_states_out_in_the_given_order() {
-        let st: ShardedStore<u64> = ShardedStore::new(8);
-        let mut prov = Vec::new();
-        for i in 0..64u64 {
-            prov.push(st.intern_prehashed(&i, fx_hash(&i)).0);
-        }
-        // Renumber in reverse of intern order.
-        let order: Vec<StateId> = prov.iter().rev().copied().collect();
-        let dense = st.into_dense(&order);
-        assert_eq!(dense.len(), 64);
-        for i in 0..64u64 {
-            let id = dense.get(&i).expect("state survives finalization");
-            assert_eq!(id.index(), 63 - i as usize, "reverse order respected");
-            assert_eq!(*dense.resolve(id), i);
-            assert_eq!(dense.get_prehashed(&i, fx_hash(&i)), Some(id));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly once")]
-    fn into_dense_rejects_a_repeated_id() {
-        let st: ShardedStore<u64> = ShardedStore::new(2);
-        let (a, _) = st.intern_prehashed(&1u64, fx_hash(&1u64));
-        let _ = st.intern_prehashed(&2u64, fx_hash(&2u64));
-        let _ = st.into_dense(&[a, a]);
     }
 }

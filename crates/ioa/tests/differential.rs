@@ -10,9 +10,7 @@
 //! seed.
 
 use ioa::automaton::{ActionKind, Automaton};
-use ioa::explore::{
-    build_graph, reach, search, ExploreOptions, ExploredGraph, SearchOutcome, Truncation,
-};
+use ioa::explore::{build_graph, reach, search, SearchOutcome, Truncation};
 use ioa::rng::{RandomSource, SplitMix64};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -202,88 +200,6 @@ fn build_graph_matches_the_naive_transition_structure() {
         }
         assert_eq!(graph.stats().edges, total_edges);
     }
-}
-
-/// Asserts that two explorations produced the same graph, bit for bit:
-/// id assignment, resolved states, edge lists (targets as raw ids),
-/// BFS-tree parents, roots and stats (census and truncation accounting;
-/// `peak_frontier` is a scheduling measurement and not part of stats
-/// equality).
-fn assert_bit_identical<A: Automaton>(seq: &ExploredGraph<A>, par: &ExploredGraph<A>, ctx: &str) {
-    assert_eq!(seq.stats(), par.stats(), "stats differ: {ctx}");
-    assert_eq!(seq.roots(), par.roots(), "roots differ: {ctx}");
-    assert_eq!(seq.len(), par.len(), "state count differs: {ctx}");
-    for id in seq.ids() {
-        assert_eq!(seq.resolve(id), par.resolve(id), "state {id:?}: {ctx}");
-        assert_eq!(
-            seq.successors(id),
-            par.successors(id),
-            "edges of {id:?}: {ctx}"
-        );
-        assert_eq!(
-            seq.discovered_by(id),
-            par.discovered_by(id),
-            "parent of {id:?}: {ctx}"
-        );
-    }
-}
-
-#[test]
-fn parallel_explore_is_bit_identical_to_sequential() {
-    let mut g = SplitMix64::seed_from_u64(0xd1ff_0005);
-    for round in 0..32 {
-        let aut = random_branching(&mut g, 14, 3);
-        let (full, _) = naive_reachable(&aut, vec![0], 10_000);
-        // Ample budget and a tight one that forces mid-layer truncation.
-        let caps = [10_000, 1 + g.gen_range(full.len())];
-        for cap in caps {
-            for skip in [false, true] {
-                // Pinned to the layered frontier: its contract is
-                // bit-identity at every thread count *including under
-                // truncation*, which the work-stealing path does not
-                // promise (its truncated admitted set is
-                // scheduling-dependent; see tests/ws_differential.rs).
-                let opts = ExploreOptions {
-                    max_states: cap,
-                    skip_self_loops: skip,
-                    threads: 1,
-                    symmetry: ioa::SymmetryMode::Off,
-                    frontier: ioa::FrontierMode::Layered,
-                };
-                let seq = ExploredGraph::explore_with(&aut, vec![0], opts);
-                for threads in [2, 4] {
-                    let par =
-                        ExploredGraph::explore_with(&aut, vec![0], opts.with_threads(threads));
-                    let ctx =
-                        format!("round={round} cap={cap} skip={skip} threads={threads} {aut:?}");
-                    assert_bit_identical(&seq, &par, &ctx);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_explore_handles_more_workers_than_frontier_states() {
-    // A chain has one-state layers: every worker but one idles, and the
-    // merge must still replay the exact sequential order.
-    let aut = Branching {
-        table: vec![(0..8).map(|s| vec![(s + 1) % 8]).collect()],
-    };
-    // Frontier left on Auto: the exploration is complete, so both the
-    // layered and the work-stealing path must reproduce the sequential
-    // graph bit for bit (the ws CI job sweeps this through the sharded
-    // frontier).
-    let opts = ExploreOptions {
-        max_states: 100,
-        skip_self_loops: false,
-        threads: 1,
-        symmetry: ioa::SymmetryMode::Off,
-        frontier: ioa::FrontierMode::Auto,
-    };
-    let seq = ExploredGraph::explore_with(&aut, vec![0], opts);
-    let par = ExploredGraph::explore_with(&aut, vec![0], opts.with_threads(8));
-    assert_bit_identical(&seq, &par, "8-cycle chain, 8 workers");
 }
 
 #[test]

@@ -13,9 +13,9 @@ use std::fmt;
 /// is exactly the per-successor cost the component-interned
 /// representation is designed to avoid. The counter lets benchmarks and
 /// regression tests quantify that cost instead of guessing: reset it,
-/// run a workload, read it back. Thread-local, so parallel exploration
-/// workers count independently — sum across threads if needed, or run
-/// the measured workload single-threaded.
+/// run a workload, read it back. Thread-local, so concurrently running
+/// tests count independently; run the measured workload on the thread
+/// that reads the counter.
 pub mod clones {
     use std::cell::Cell;
 
@@ -226,9 +226,8 @@ impl fmt::Display for SvcState {
     }
 }
 
-// Compile-time audit: the parallel explorer in `ioa` moves successor
-// system states (which embed `SvcState`s) from worker threads to the
-// merging thread and shares services across the pool.
+// Compile-time audit: system states (which embed `SvcState`s) satisfy
+// the `Send + Sync` state bound of `ioa::automaton::Automaton`.
 const _: () = {
     const fn is_send_sync<T: Send + Sync>() {}
     is_send_sync::<SvcState>();

@@ -23,8 +23,8 @@ use std::fmt;
 /// Every `SystemState::clone()` deep-copies one state per process and
 /// per service plus the failed set — the dominating per-successor cost
 /// the component-interned representation ([`crate::packed`]) avoids.
-/// Reset, run a workload, read back; thread-local, so parallel
-/// exploration workers count independently.
+/// Reset, run a workload, read back; thread-local, so concurrently
+/// running tests count independently.
 pub mod clones {
     use std::cell::Cell;
 
@@ -160,11 +160,10 @@ impl<PS: fmt::Debug> fmt::Display for SystemState<PS> {
     }
 }
 
-// Compile-time audit: the layer-synchronous parallel explorer shares
-// `CompleteSystem<P>` across scoped workers and sends
-// `SystemState<P::State>` values back to the merging thread, so both
-// must be `Send + Sync` for every in-tree process family. `ArcService`
-// qualifies because `Service: Send + Sync`.
+// Compile-time audit: `CompleteSystem<P>` and `SystemState<P::State>`
+// satisfy the `Automaton` bounds (`Sync`, `Send + Sync` states), so
+// both must be `Send + Sync` for every in-tree process family.
+// `ArcService` qualifies because `Service: Send + Sync`.
 const _: () = {
     const fn is_send_sync<T: Send + Sync>() {}
     is_send_sync::<SystemState<crate::process::direct::Phase>>();

@@ -34,12 +34,11 @@
 //! enqueues and `on_response` functions; the canonical services' δ
 //! branch *lists* are likewise functions of the state), and interning
 //! is idempotent within a run — re-interning an equal component returns
-//! the same id. A concurrent writer therefore always writes the value
-//! any other thread would have computed, so last-write-wins races are
-//! benign and no per-worker merge step is needed: the tables are shared
-//! read-mostly maps behind [`RwLock`]s, safe for the layer-synchronous
-//! parallel explorer's scoped workers. The differential suite pins
-//! cached-vs-uncached bit-identity across thread counts.
+//! the same id. A writer therefore always writes the value any other
+//! caller would have computed, so last-write-wins races between callers
+//! sharing one `PackedSystem` are benign: the tables are read-mostly
+//! maps behind one [`RwLock`] each. The differential suite pins
+//! cached-vs-uncached bit-identity.
 //!
 //! Hit/miss accounting is per *expansion* (one `succ_all` call): a hit
 //! means the whole expansion was served from the tables.
@@ -88,52 +87,33 @@ pub(crate) struct PopEntry {
     pub dummy: bool,
 }
 
-/// Lock stripes per table (power of two). The tables are already split
-/// per task, but the work-stealing explorer (DESIGN §2.1.5) has every
-/// worker hammering the *same* task tables concurrently; striping by
-/// key hash splits each table's lock `STRIPES` ways so publication
-/// stops serializing on one writer lock. Key→value semantics are
-/// untouched: a key always routes to the same stripe.
-const STRIPES: usize = 8;
-
 /// A slot table keyed by a dense component id: the read-mostly map for
-/// level-1 keys, striped by the key's low bits. Indexing by `CompId`
-/// directly (instead of hashing) makes a warm lookup one bounds check
-/// and one clone; consecutive component ids land on distinct stripes.
+/// level-1 keys. Indexing by `CompId` directly (instead of hashing)
+/// makes a warm lookup one bounds check and one clone.
 #[derive(Debug)]
 struct SlotTable<T> {
-    stripes: Box<[RwLock<Vec<Option<T>>>]>,
+    slots: RwLock<Vec<Option<T>>>,
 }
 
 // Manual impl: a derive would demand `T: Default` although the initial
-// stripe vectors are simply empty.
+// slot vector is simply empty.
 impl<T> Default for SlotTable<T> {
     fn default() -> Self {
         SlotTable {
-            stripes: (0..STRIPES).map(|_| RwLock::new(Vec::new())).collect(),
+            slots: RwLock::new(Vec::new()),
         }
     }
 }
 
 impl<T: Clone> SlotTable<T> {
-    #[inline]
-    fn split(key: u32) -> (usize, usize) {
-        ((key as usize) % STRIPES, (key as usize) / STRIPES)
-    }
-
     fn get(&self, key: u32) -> Option<T> {
-        let (stripe, idx) = Self::split(key);
-        let slots = self.stripes[stripe]
-            .read()
-            .expect("effect cache lock poisoned");
-        slots.get(idx).and_then(Clone::clone)
+        let slots = self.slots.read().expect("effect cache lock poisoned");
+        slots.get(key as usize).and_then(Clone::clone)
     }
 
     fn put(&self, key: u32, value: T) {
-        let (stripe, idx) = Self::split(key);
-        let mut slots = self.stripes[stripe]
-            .write()
-            .expect("effect cache lock poisoned");
+        let idx = key as usize;
+        let mut slots = self.slots.write().expect("effect cache lock poisoned");
         if slots.len() <= idx {
             slots.resize_with(idx + 1, || None);
         }
@@ -142,34 +122,16 @@ impl<T: Clone> SlotTable<T> {
     }
 }
 
-/// One stripe of a [`PairTable`]: pair key -> cached effect id.
-type PairMap = HashMap<(u32, u32), u32, BuildFxHasher>;
-
 /// A pair-keyed table for the level-2 keys (`(pc, sc)` enqueues,
-/// `(sc, pc)` response applications), striped by key hash.
-#[derive(Debug)]
+/// `(sc, pc)` response applications).
+#[derive(Debug, Default)]
 struct PairTable {
-    stripes: Box<[RwLock<PairMap>]>,
-}
-
-impl Default for PairTable {
-    fn default() -> Self {
-        PairTable {
-            stripes: (0..STRIPES)
-                .map(|_| RwLock::new(HashMap::default()))
-                .collect(),
-        }
-    }
+    map: RwLock<HashMap<(u32, u32), u32, BuildFxHasher>>,
 }
 
 impl PairTable {
-    #[inline]
-    fn stripe_of(key: (u32, u32)) -> usize {
-        (ioa::store::fx_hash(&key) as usize) & (STRIPES - 1)
-    }
-
     fn get(&self, key: (u32, u32)) -> Option<u32> {
-        self.stripes[Self::stripe_of(key)]
+        self.map
             .read()
             .expect("effect cache lock poisoned")
             .get(&key)
@@ -177,7 +139,7 @@ impl PairTable {
     }
 
     fn put(&self, key: (u32, u32), value: u32) {
-        self.stripes[Self::stripe_of(key)]
+        self.map
             .write()
             .expect("effect cache lock poisoned")
             .insert(key, value);
@@ -185,8 +147,8 @@ impl PairTable {
 }
 
 /// The per-system transition-effect cache. One instance lives inside a
-/// [`crate::packed::PackedSystem`] and is shared (by `&`) across the
-/// parallel explorer's workers.
+/// [`crate::packed::PackedSystem`] and is shared (by `&`) by every
+/// expansion of that system.
 #[derive(Debug)]
 pub(crate) struct EffectCache {
     /// `step[i]`: level-1 process-step outcomes, keyed by proc comp.

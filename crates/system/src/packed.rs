@@ -26,10 +26,10 @@
 //!    — which depends only on the logical transition structure, never
 //!    on the numeric values of the component ids.
 //!
-//! Concurrent workers may therefore intern fresh components in any
-//! interleaving (comp ids are *not* deterministic across runs) without
-//! perturbing the explored graph; the differential tests in `analysis`
-//! pin this down across thread counts and truncation budgets.
+//! Fresh components may therefore be interned in any order (comp ids
+//! are *not* deterministic across runs, e.g. on a warm, shared packed
+//! system) without perturbing the explored graph; the differential
+//! tests in `analysis` pin this down across truncation budgets.
 
 use crate::action::{Action, Task};
 use crate::build::{CompleteSystem, Delta, ProcStep, StateView, SystemState};
@@ -99,8 +99,8 @@ impl PackedState {
 ///
 /// The two sub-arenas grow monotonically behind [`RwLock`]s —
 /// transition enumeration takes read locks, interning fresh components
-/// takes write locks (always `procs` before `svcs`). The explorer's
-/// scoped workers share one `PackedSystem` across threads. Each
+/// takes write locks (always `procs` before `svcs`), so one
+/// `PackedSystem` can be shared across threads. Each
 /// [`Decoder`] handed out by [`PackedSystem::decoder`] shares the
 /// arenas, the effect cache and the canonicalizer's memo by `Arc`, so
 /// packed states stay decodable after the packed system itself is
@@ -429,8 +429,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// depends only on the signature *multiset*, which is constant on
     /// the orbit. Every signature comparison is a fixed function of
     /// component values (cached fx hash, then `Ord`), never of arena
-    /// ids, so representatives are bit-stable across runs and thread
-    /// counts.
+    /// ids, so representatives are bit-stable across runs.
     ///
     /// **Identity fast path.** When the process block's slot keys are
     /// strictly ascending the sort is the identity regardless of the
@@ -1189,8 +1188,8 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
     }
 }
 
-// Compile-time audit: the parallel explorer shares the packed system
-// across scoped workers.
+// Compile-time audit: the packed system satisfies the `Automaton`
+// bounds and stays shareable across threads.
 const _: () = {
     const fn is_send_sync<T: Send + Sync>() {}
     is_send_sync::<PackedState>();

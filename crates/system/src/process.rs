@@ -36,9 +36,8 @@ pub enum ProcAction {
 /// handled by dedicated transition functions; the single task's
 /// transition is [`ProcessAutomaton::step`], which must be total.
 ///
-/// `Send + Sync` bounds mirror [`ioa::automaton::Automaton`]: the
-/// parallel explorer shares `CompleteSystem<P>` across worker threads
-/// and moves `SystemState<P::State>` values between them. Process
+/// `Send + Sync` bounds mirror [`ioa::automaton::Automaton`], which
+/// `CompleteSystem<P>` implements over `SystemState<P::State>`. Process
 /// families are immutable rule tables, so the bounds hold trivially.
 pub trait ProcessAutomaton: Debug + Send + Sync {
     /// The per-process state.

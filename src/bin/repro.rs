@@ -1,14 +1,13 @@
 //! `repro` — command-line driver for the reproduction.
 //!
 //! ```text
-//! repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F] [--threads T]
-//!               [--symmetry full|off] [--frontier layered|ws]
+//! repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F]
+//!               [--symmetry full|off]
 //! repro certify --construction set-boost|fd-boost|tas [--n N] [--k K]
-//! repro hook    [--n N] [--f F] [--dot FILE] [--threads T] [--symmetry full|off]
-//!               [--frontier layered|ws]
-//! repro census  [--n N] [--f F] [--threads T] [--symmetry full|off] [--frontier layered|ws]
+//! repro hook    [--n N] [--f F] [--dot FILE] [--symmetry full|off]
+//! repro census  [--n N] [--f F] [--symmetry full|off]
 //! repro check EXPR --class atomic|registers|oblivious|general [--n N] [--f F]
-//!                  [--ones K] [--threads T] [--symmetry full|off] [--frontier layered|ws]
+//!                  [--ones K] [--symmetry full|off]
 //! repro audit   [--class atomic|registers|oblivious|general|mixed|tas|universal|flooding|
 //!                        snapshot|fd-boost|set-boost|derived-fd|all|
 //!                        broken-sym|broken-tasks|broken-impure]
@@ -40,8 +39,10 @@
 //! audited substrate clean, 1 any violation, 2 violation-free but
 //! some rule unauditable.
 //!
-//! `--threads` sets the exploration worker count (0 = auto); every
-//! result is bit-identical across thread counts.
+//! Each subcommand takes only the flags listed above, each at most
+//! once and each with a value. Anything else (a misspelt or foreign
+//! flag, a repeat, a trailing flag without its value) exits 2 with one
+//! `error:` line naming the flag, before anything is built.
 //!
 //! Numeric flags are checked against what the library accepts before
 //! anything is built: `--n` lies in `1..=32` (the packed state layout's
@@ -51,12 +52,6 @@
 //! needs `1 ≤ k < n` with `k | n`. A bad value exits 2 with one
 //! `error:` line, as does a `check` atom `proc_decided(i)` or
 //! `failed(i)` whose process index lies outside `0..n`.
-//!
-//! `--frontier ws` routes every exploration through the sharded
-//! work-stealing frontier (DESIGN §2.1.5) instead of the
-//! layer-synchronous default — same verdicts, censuses and property
-//! evaluations, no layer-merge scaling ceiling. Defaults to the
-//! `IOA_EXPLORE_FRONTIER` environment variable.
 //!
 //! `--symmetry full` explores the process-permutation quotient of
 //! `G(C)` (orbit canonicalization) — same theorem verdicts and census
@@ -94,37 +89,54 @@ use system::packed::MAX_PROCESSES;
 use system::process::ProcessAutomaton;
 use system::sched::initialize;
 
-/// Minimal argument parser: a subcommand, then positional operands and
-/// `--key value` flag pairs in any order.
+/// A subcommand's entry point.
+type Command = fn(&Args) -> ExitCode;
+
+/// Every subcommand, with the flags it reads (and so accepts).
+const COMMANDS: [(&str, &[&str], Command); 6] = [
+    ("witness", &["class", "n", "f", "symmetry"], witness_cmd),
+    ("certify", &["construction", "n", "k"], certify_cmd),
+    ("hook", &["n", "f", "dot", "symmetry"], hook_cmd),
+    ("census", &["n", "f", "symmetry"], census_cmd),
+    ("check", &["class", "n", "f", "ones", "symmetry"], check_cmd),
+    ("audit", &["class", "n", "f", "budget"], audit_cmd),
+];
+
+/// Minimal argument parser: positional operands and `--key value` flag
+/// pairs in any order, after the subcommand.
 struct Args {
-    cmd: String,
     positional: Vec<String>,
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse() -> Option<Args> {
-        let mut it = std::env::args().skip(1);
-        let cmd = it.next()?;
-        let rest: Vec<String> = it.collect();
+    /// Splits `rest` into operands and flags, refusing a flag `cmd`
+    /// does not take (`allowed`), a repeated flag, or a flag with no
+    /// value: one `error:` line, exit 2.
+    fn parse(cmd: &str, allowed: &[&str], mut rest: impl Iterator<Item = String>) -> Args {
         let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            if let Some(key) = rest[i].strip_prefix("--") {
-                let value = rest.get(i + 1)?.clone();
-                flags.push((key.to_string(), value));
-                i += 2;
-            } else {
-                positional.push(rest[i].clone());
-                i += 1;
+        let mut flags: Vec<(String, String)> = Vec::new();
+        while let Some(arg) = rest.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                positional.push(arg);
+                continue;
+            };
+            if !allowed.contains(&key) {
+                let takes: Vec<String> = allowed.iter().map(|k| format!("--{k}")).collect();
+                fail(&format!(
+                    "unknown flag --{key} for {cmd} (it takes {})",
+                    takes.join(", ")
+                ));
             }
+            if flags.iter().any(|(k, _)| k == key) {
+                fail(&format!("--{key} given more than once"));
+            }
+            let Some(value) = rest.next() else {
+                fail(&format!("--{key} wants a value"));
+            };
+            flags.push((key.to_string(), value));
         }
-        Some(Args {
-            cmd,
-            positional,
-            flags,
-        })
+        Args { positional, flags }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -141,11 +153,6 @@ impl Args {
                     .unwrap_or_else(|_| die(&format!("--{key} wants a number")))
             })
             .unwrap_or(default)
-    }
-
-    /// The exploration worker-thread count (`0` = auto).
-    fn threads(&self) -> usize {
-        self.usize_or("threads", 0)
     }
 
     /// `--n`, checked against the smallest process count `min` the
@@ -169,24 +176,6 @@ impl Args {
             Some(other) => die(&format!("--symmetry wants full|off, got {other:?}")),
         }
     }
-
-    /// `--frontier layered|ws`: pins the exploration frontier
-    /// discipline for every exploration this invocation runs, by
-    /// setting the process-global [`ioa::explore::FRONTIER_ENV`] knob
-    /// (which `FrontierMode::Auto` consults) before any exploration
-    /// starts. Unset, the environment's own value (or the layered
-    /// default) applies. Verdicts, censuses and property evaluations
-    /// are identical either way — the flag trades the layer-merge
-    /// ceiling for work-stealing throughput.
-    fn apply_frontier(&self) {
-        match self.get("frontier") {
-            None => {}
-            Some(v @ ("layered" | "ws" | "worksteal" | "work-stealing")) => {
-                std::env::set_var(ioa::explore::FRONTIER_ENV, v);
-            }
-            Some(other) => die(&format!("--frontier wants layered|ws, got {other:?}")),
-        }
-    }
 }
 
 /// A clean diagnostic exit for *user-input* errors where the usage
@@ -201,11 +190,11 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage:\n  \
-         repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
+         repro witness --class atomic|registers|oblivious|general|tas [--n N] [--f F] [--symmetry full|off]\n  \
          repro certify --construction set-boost|fd-boost|tas [--n N] [--k K]\n  \
-         repro hook [--n N] [--f F] [--dot FILE] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
-         repro census [--n N] [--f F] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
-         repro check EXPR --class atomic|registers|oblivious|general [--n N] [--f F] [--ones K] [--threads T] [--symmetry full|off] [--frontier layered|ws]\n  \
+         repro hook [--n N] [--f F] [--dot FILE] [--symmetry full|off]\n  \
+         repro census [--n N] [--f F] [--symmetry full|off]\n  \
+         repro check EXPR --class atomic|registers|oblivious|general [--n N] [--f F] [--ones K] [--symmetry full|off]\n  \
          repro audit [--class atomic|registers|oblivious|general|mixed|tas|universal|flooding|snapshot|fd-boost|set-boost|derived-fd|all|broken-sym|broken-tasks|broken-impure] [--n N] [--f F] [--budget STATES]\n\
          \n\
          --n is in 1..=32; witness needs f + 1 < n; set-boost needs 1 <= k < n with k | n\n\
@@ -235,11 +224,7 @@ fn witness_cmd(args: &Args) -> ExitCode {
         ));
     }
     let class = args.get("class").unwrap_or("atomic");
-    let bounds = Bounds {
-        threads: args.threads(),
-        symmetry: args.symmetry(),
-        ..Bounds::default()
-    };
+    let bounds = Bounds::default().with_symmetry(args.symmetry());
     println!(
         "candidate: class={class}, n={n}, f={f} — claiming ({})-resilient consensus",
         f + 1
@@ -346,7 +331,7 @@ fn hook_cmd(args: &Args) -> ExitCode {
     let f = args.usize_or("f", 0);
     let sys = protocols::doomed::doomed_atomic(n, f);
     let InitOutcome::Bivalent { assignment, map } =
-        find_bivalent_init_sym(&sys, 2_000_000, args.threads(), args.symmetry())
+        find_bivalent_init_sym(&sys, 2_000_000, args.symmetry())
             .unwrap_or_else(|e| die(&e.to_string()))
     else {
         die("no bivalent initialization (try the witness command)")
@@ -384,7 +369,7 @@ fn census_cmd(args: &Args) -> ExitCode {
     let n = args.n(3, 1);
     let f = args.usize_or("f", 1);
     let sys = protocols::doomed::doomed_atomic(n, f);
-    match find_bivalent_init_sym(&sys, 2_000_000, args.threads(), args.symmetry()) {
+    match find_bivalent_init_sym(&sys, 2_000_000, args.symmetry()) {
         Ok(InitOutcome::Bivalent { assignment, map }) => {
             println!("valence landscape of G(C) from {assignment}:");
             println!("  {}", census(&map));
@@ -423,14 +408,13 @@ fn census_cmd(args: &Args) -> ExitCode {
 fn check_on<P: ProcessAutomaton>(
     sys: &system::build::CompleteSystem<P>,
     ones: usize,
-    threads: usize,
     symmetry: SymmetryMode,
     expr: &str,
 ) -> ExitCode {
     let n = sys.process_count();
     let assignment = InputAssignment::monotone(n, ones);
     let root = initialize(sys, &assignment);
-    let map = ValenceMap::build_with_symmetry(sys, root, 2_000_000, threads, symmetry)
+    let map = ValenceMap::build_with_symmetry(sys, root, 2_000_000, 1, symmetry)
         .unwrap_or_else(|e| fail(&e.to_string()));
     let graph = SystemGraph::new(sys, &map);
     let system_atoms = system_vocab::<P>(assignment.clone());
@@ -652,34 +636,29 @@ fn check_cmd(args: &Args) -> ExitCode {
     if ones > n {
         die("--ones must be at most --n");
     }
-    let threads = args.threads();
     let symmetry = args.symmetry();
     match class {
         "atomic" => check_on(
             &protocols::doomed::doomed_atomic(n, f),
             ones,
-            threads,
             symmetry,
             expr,
         ),
         "registers" => check_on(
             &protocols::doomed::doomed_atomic_with_registers(n, f),
             ones,
-            threads,
             symmetry,
             expr,
         ),
         "oblivious" => check_on(
             &protocols::doomed::doomed_oblivious(n, f),
             ones,
-            threads,
             symmetry,
             expr,
         ),
         "general" => check_on(
             &protocols::doomed::doomed_general(n, f),
             ones,
-            threads,
             symmetry,
             expr,
         ),
@@ -688,17 +667,12 @@ fn check_cmd(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let Some(args) = Args::parse() else {
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else {
         die("missing subcommand");
     };
-    args.apply_frontier();
-    match args.cmd.as_str() {
-        "witness" => witness_cmd(&args),
-        "certify" => certify_cmd(&args),
-        "hook" => hook_cmd(&args),
-        "census" => census_cmd(&args),
-        "check" => check_cmd(&args),
-        "audit" => audit_cmd(&args),
-        other => die(&format!("unknown command {other:?}")),
-    }
+    let Some(&(_, allowed, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        die(&format!("unknown command {cmd:?}"));
+    };
+    run(&Args::parse(&cmd, allowed, argv))
 }

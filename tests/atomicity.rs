@@ -178,17 +178,7 @@ fn trace_inclusion_as_a_dsl_refinement_property() {
             ActionKind::Internal
         }
     }
-    let g = ExploredGraph::explore_with(
-        &Unit,
-        vec![()],
-        ExploreOptions {
-            max_states: 2,
-            skip_self_loops: false,
-            threads: 1,
-            symmetry: ioa::SymmetryMode::Off,
-            frontier: ioa::FrontierMode::Auto,
-        },
-    );
+    let g = ExploredGraph::explore_with(&Unit, vec![()], ExploreOptions::with_budget(2));
 
     // Positive: the direct system refines the canonical object.
     let imp = doomed_atomic(2, 1);

@@ -8,7 +8,7 @@
 //! unchanged, and quotient witness paths lift back to concrete,
 //! replayable executions. Each test here pins one face of that
 //! contract against the full (symmetry-off) exploration as the
-//! reference, across thread counts and all three doomed substrates.
+//! reference, across all three doomed substrates.
 //!
 //! The reduction factors asserted are the *measured* ones: from a
 //! mixed monotone root the orbit intersection inside the reachable set
@@ -36,7 +36,6 @@ fn maps(
     n: usize,
     f: usize,
     ones: usize,
-    threads: usize,
 ) -> (
     CompleteSystem<system::process::direct::DirectConsensus>,
     ValenceMap<system::process::direct::DirectConsensus>,
@@ -44,60 +43,57 @@ fn maps(
 ) {
     let sys = doomed_atomic(n, f);
     let root = initialize(&sys, &InputAssignment::monotone(n, ones));
-    let full =
-        ValenceMap::build_with_symmetry(&sys, root.clone(), 1_000_000, threads, SymmetryMode::Off)
-            .unwrap();
-    let quot = ValenceMap::build_with_symmetry(&sys, root, 1_000_000, threads, SymmetryMode::Full)
+    let full = ValenceMap::build_with_symmetry(&sys, root.clone(), 1_000_000, 1, SymmetryMode::Off)
         .unwrap();
+    let quot =
+        ValenceMap::build_with_symmetry(&sys, root, 1_000_000, 1, SymmetryMode::Full).unwrap();
     (sys, full, quot)
 }
 
 /// |full| = Σ orbit sizes, orbit reps are exactly the quotient's
 /// states, and valence is constant on every orbit — for every mixed
-/// and unanimous root at n ∈ {2, 3}, single- and multi-threaded.
+/// and unanimous root at n ∈ {2, 3}.
 #[test]
 fn orbit_census_invariant_and_valences_agree() {
     for (n, f, ones) in [(2, 0, 1), (3, 1, 1), (3, 1, 0)] {
-        for threads in [1, 4] {
-            let (_, full, quot) = maps(n, f, ones, threads);
-            assert!(quot.symmetric(), "atomic substrate must pass the gate");
-            let group = quot.sym().expect("symmetric map exposes its group");
+        let (_, full, quot) = maps(n, f, ones);
+        assert!(quot.symmetric(), "atomic substrate must pass the gate");
+        let group = quot.sym().expect("symmetric map exposes its group");
 
-            // Group the full reachable set by canonical image.
-            let mut orbits: HashMap<DirectState, usize> = HashMap::new();
-            for id in 0..full.state_count() {
-                let s = full.resolve(ioa::store::StateId::from_index(id));
-                let (rep, _) = system::packed::canonical_system_state_with(group, s);
-                *orbits.entry(rep).or_insert(0) += 1;
-            }
-            // Σ orbit sizes = |full| (grouping is a partition)…
-            assert_eq!(orbits.values().sum::<usize>(), full.state_count());
-            // …and the quotient interns exactly the orbit reps, plus
-            // the raw root when it is not its own representative.
-            let root_is_rep = orbits.contains_key(full.root());
-            assert_eq!(
-                quot.state_count(),
-                orbits.len() + usize::from(!root_is_rep),
-                "n={n} ones={ones} threads={threads}: quotient is not one state per orbit"
+        // Group the full reachable set by canonical image.
+        let mut orbits: HashMap<DirectState, usize> = HashMap::new();
+        for id in 0..full.state_count() {
+            let s = full.resolve(ioa::store::StateId::from_index(id));
+            let (rep, _) = system::packed::canonical_system_state_with(group, s);
+            *orbits.entry(rep).or_insert(0) += 1;
+        }
+        // Σ orbit sizes = |full| (grouping is a partition)…
+        assert_eq!(orbits.values().sum::<usize>(), full.state_count());
+        // …and the quotient interns exactly the orbit reps, plus
+        // the raw root when it is not its own representative.
+        let root_is_rep = orbits.contains_key(full.root());
+        assert_eq!(
+            quot.state_count(),
+            orbits.len() + usize::from(!root_is_rep),
+            "n={n} ones={ones}: quotient is not one state per orbit"
+        );
+        for rep in orbits.keys() {
+            assert!(
+                quot.id_of(rep).is_some(),
+                "orbit representative missing from the quotient map"
             );
-            for rep in orbits.keys() {
-                assert!(
-                    quot.id_of(rep).is_some(),
-                    "orbit representative missing from the quotient map"
-                );
-            }
+        }
 
-            // Valence is orbit-invariant and canonicalize-on-lookup
-            // resolves every concrete state to its orbit's valence.
-            for id in 0..full.state_count() {
-                let sid = ioa::store::StateId::from_index(id);
-                let s = full.resolve(sid);
-                assert_eq!(
-                    full.valence_id(sid),
-                    quot.valence(s),
-                    "n={n} ones={ones} threads={threads}: valence differs modulo orbit"
-                );
-            }
+        // Valence is orbit-invariant and canonicalize-on-lookup
+        // resolves every concrete state to its orbit's valence.
+        for id in 0..full.state_count() {
+            let sid = ioa::store::StateId::from_index(id);
+            let s = full.resolve(sid);
+            assert_eq!(
+                full.valence_id(sid),
+                quot.valence(s),
+                "n={n} ones={ones}: valence differs modulo orbit"
+            );
         }
     }
 }
@@ -116,7 +112,7 @@ fn reduction_factors_match_measured_floors() {
         (5, 3, 1, 4952, 365, 13), // the first n=5 sweep: ≥13×
     ];
     for (n, f, ones, full_count, quot_count, floor) in cases {
-        let (_, full, quot) = maps(n, f, ones, 1);
+        let (_, full, quot) = maps(n, f, ones);
         assert_eq!(
             full.state_count(),
             full_count,
@@ -138,7 +134,7 @@ fn reduction_factors_match_measured_floors() {
 /// motivated this layer becomes routine (976 → 188 interned states).
 #[test]
 fn n4_quotient_reduction_reaches_five_x() {
-    let (_, full, quot) = maps(4, 2, 1, 4);
+    let (_, full, quot) = maps(4, 2, 1);
     assert_eq!(full.state_count(), 976);
     assert_eq!(quot.state_count(), 188);
     assert!(full.state_count() >= 5 * quot.state_count());
@@ -219,24 +215,22 @@ fn theorem_verdicts_agree_under_quotient() {
 }
 
 /// The bivalent-initialization stage agrees too — same outcome
-/// variant from both modes, across thread counts.
+/// variant from both modes.
 #[test]
 fn bivalent_init_agrees_under_quotient() {
     let sys = doomed_atomic(3, 1);
-    for threads in [1, 4] {
-        let off = find_bivalent_init_sym(&sys, 1_000_000, threads, SymmetryMode::Off).unwrap();
-        let full = find_bivalent_init_sym(&sys, 1_000_000, threads, SymmetryMode::Full).unwrap();
-        match (&off, &full) {
-            (
-                InitOutcome::Bivalent {
-                    assignment: a_off, ..
-                },
-                InitOutcome::Bivalent {
-                    assignment: a_full, ..
-                },
-            ) => assert_eq!(a_off, a_full, "different bivalent initialization found"),
-            _ => panic!("both modes must find the bivalent initialization"),
-        }
+    let off = find_bivalent_init_sym(&sys, 1_000_000, SymmetryMode::Off).unwrap();
+    let full = find_bivalent_init_sym(&sys, 1_000_000, SymmetryMode::Full).unwrap();
+    match (&off, &full) {
+        (
+            InitOutcome::Bivalent {
+                assignment: a_off, ..
+            },
+            InitOutcome::Bivalent {
+                assignment: a_full, ..
+            },
+        ) => assert_eq!(a_off, a_full, "different bivalent initialization found"),
+        _ => panic!("both modes must find the bivalent initialization"),
     }
 }
 
@@ -244,7 +238,7 @@ fn bivalent_init_agrees_under_quotient() {
 /// quotient and the full graph, in one fused batch each.
 #[test]
 fn prop_verdicts_agree_under_quotient() {
-    let (sys, full, quot) = maps(3, 1, 1, 1);
+    let (sys, full, quot) = maps(3, 1, 1);
     let assignment = InputAssignment::monotone(3, 1);
     let props = |_g: &SystemGraph<'_, _>| {
         vec![
@@ -270,7 +264,7 @@ fn prop_verdicts_agree_under_quotient() {
 /// raw root.
 #[test]
 fn quotient_witness_paths_lift_to_concrete_executions() {
-    let (sys, _, quot) = maps(3, 1, 1, 1);
+    let (sys, _, quot) = maps(3, 1, 1);
     let g = SystemGraph::new(&sys, &quot);
     for target in [0, 1] {
         let ev = evaluate(&g, &Prop::exists_path(atoms::decided_value(target)));

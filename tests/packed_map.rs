@@ -277,7 +277,7 @@ fn assert_hook_decodes_only_the_root<P: ProcessAutomaton>(
     mode: SymmetryMode,
 ) {
     let InitOutcome::Bivalent { map, .. } =
-        find_bivalent_init_sym(sys, MAX_STATES, 1, mode).unwrap_or_else(|e| panic!("{name}: {e}"))
+        find_bivalent_init_sym(sys, MAX_STATES, mode).unwrap_or_else(|e| panic!("{name}: {e}"))
     else {
         panic!("{name}: expected a bivalent initialization")
     };

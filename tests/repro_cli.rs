@@ -8,7 +8,9 @@
 //! `--symmetry` flag must accept `full`/`off` and produce the same
 //! verdicts either way on an id-symmetric candidate. Out-of-range
 //! numeric flags and process indices must be refused with one `error:`
-//! line and exit 2 before the library's own assertions can panic.
+//! line and exit 2 before the library's own assertions can panic, and
+//! so must a flag the subcommand does not read, a repeated flag and a
+//! flag without its value.
 
 use std::process::{Command, Output};
 
@@ -122,47 +124,6 @@ fn failing_property_exits_1() {
 }
 
 #[test]
-fn check_verdicts_agree_across_frontier_disciplines() {
-    // The work-stealing frontier must be invisible at the CLI surface:
-    // same exit code and same verdict lines (the full stdout includes
-    // state counts and witness paths, which are pinned too — complete
-    // explorations renumber to the identical graph).
-    let run = |frontier: &str| {
-        repro(&[
-            "check",
-            "always(safe); ef(decided(0)) & ef(decided(1))",
-            "--class",
-            "atomic",
-            "--n",
-            "2",
-            "--f",
-            "0",
-            "--threads",
-            "4",
-            "--frontier",
-            frontier,
-        ])
-    };
-    let (layered, ws) = (run("layered"), run("ws"));
-    assert_eq!(layered.status.code(), Some(0), "{}", stderr_of(&layered));
-    assert_eq!(ws.status.code(), Some(0), "{}", stderr_of(&ws));
-    assert_eq!(
-        String::from_utf8_lossy(&layered.stdout),
-        String::from_utf8_lossy(&ws.stdout),
-        "frontier discipline leaked into the CLI output"
-    );
-}
-
-#[test]
-fn bad_frontier_value_gets_usage() {
-    let out = repro(&["check", "always(safe)", "--frontier", "sideways"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr_of(&out);
-    assert!(err.contains("--frontier"), "got: {err:?}");
-    assert!(err.contains("usage:"), "got: {err:?}");
-}
-
-#[test]
 fn values_is_no_longer_a_symmetry_mode() {
     let out = repro(&["witness", "--symmetry", "values"]);
     assert_eq!(out.status.code(), Some(2));
@@ -272,5 +233,60 @@ fn check_refuses_an_out_of_range_failed_index() {
             "1",
         ],
         "failed(40): process index must be in 0..3",
+    );
+}
+
+#[test]
+fn misspelt_flag_is_refused() {
+    // Used to explore without the quotient and exit 0.
+    assert_refused(
+        &[
+            "witness",
+            "--class",
+            "atomic",
+            "--n",
+            "3",
+            "--f",
+            "1",
+            "--symetry",
+            "full",
+        ],
+        "unknown flag --symetry for witness",
+    );
+}
+
+#[test]
+fn retired_threads_and_frontier_flags_are_refused() {
+    assert_refused(
+        &["witness", "--n", "3", "--f", "1", "--threads", "2"],
+        "unknown flag --threads",
+    );
+    assert_refused(
+        &["check", "always(safe)", "--frontier", "ws"],
+        "unknown flag --frontier",
+    );
+}
+
+#[test]
+fn flag_of_another_subcommand_is_refused() {
+    // `--dot` belongs to `hook`; `witness` used to ignore it.
+    assert_refused(
+        &["witness", "--n", "3", "--f", "1", "--dot", "hook.dot"],
+        "unknown flag --dot for witness",
+    );
+}
+
+#[test]
+fn trailing_flag_without_a_value_is_refused() {
+    // Used to report "missing subcommand" with the usage dump.
+    assert_refused(&["hook", "--n"], "--n wants a value");
+}
+
+#[test]
+fn repeated_flag_is_refused() {
+    // Used to take the first value and ignore the second.
+    assert_refused(
+        &["witness", "--n", "3", "--f", "1", "--n", "4"],
+        "--n given more than once",
     );
 }

@@ -87,16 +87,14 @@ fn two_pass<P: ProcessAutomaton>(sys: &CompleteSystem<P>, b: Bounds) -> Result<N
     for ones in 0..=n {
         let assignment = InputAssignment::monotone(n, ones);
         let root = initialize(sys, &assignment);
-        let map = ValenceMap::build_with_symmetry(sys, root, b.max_states, b.threads, b.symmetry)
+        let map = ValenceMap::build_with_symmetry(sys, root, b.max_states, 1, b.symmetry)
             .map_err(|e| e.to_string())?;
         let safe = Prop::always(atoms::safe(assignment.clone()));
         if evaluate(&SystemGraph::new(sys, &map), &safe).verdict == Verdict::Fails {
             return Ok(named("Safety", vec![assignment]));
         }
     }
-    match find_bivalent_init_sym(sys, b.max_states, b.threads, b.symmetry)
-        .map_err(|e| e.to_string())?
-    {
+    match find_bivalent_init_sym(sys, b.max_states, b.symmetry).map_err(|e| e.to_string())? {
         InitOutcome::Bivalent { assignment, map } => {
             let variant = match find_hook(sys, &map, b.max_hook_iterations) {
                 HookOutcome::Hook(_) => "HookRefutation",
@@ -127,7 +125,7 @@ fn two_pass<P: ProcessAutomaton>(sys: &CompleteSystem<P>, b: Bounds) -> Result<N
 /// modes, and the walk takes the expected arm.
 fn agree<P: ProcessAutomaton>(name: &str, sys: &CompleteSystem<P>, f: usize, expect: &str) {
     for mode in [SymmetryMode::Off, SymmetryMode::Full] {
-        let bounds = Bounds::default().with_threads(1).with_symmetry(mode);
+        let bounds = Bounds::default().with_symmetry(mode);
         let walk = find_witness(sys, f, bounds)
             .map(|w| name_of(&w))
             .map_err(|e| e.to_string());
@@ -180,7 +178,7 @@ fn hook_on<P: ProcessAutomaton>(
     sys: &CompleteSystem<P>,
     mode: SymmetryMode,
 ) -> (ValenceMap<P>, Hook<P>) {
-    let InitOutcome::Bivalent { map, .. } = find_bivalent_init_sym(sys, 1_000_000, 1, mode)
+    let InitOutcome::Bivalent { map, .. } = find_bivalent_init_sym(sys, 1_000_000, mode)
         .unwrap_or_else(|e| panic!("{name} under {mode:?}: {e}"))
     else {
         panic!("{name} under {mode:?}: expected a bivalent initialization")
