@@ -28,7 +28,7 @@
 //! endless bivalence — which is reported as its own witness shape.
 
 use crate::valence::{Valence, ValenceMap};
-use ioa::automaton::Automaton;
+use ioa::automaton::{Automaton, CacheStats};
 use ioa::store::{fx_hash, StateId, StateStore};
 use std::collections::VecDeque;
 use system::build::{CompleteSystem, SystemState};
@@ -121,39 +121,41 @@ impl<P: ProcessAutomaton> Walk<'_, '_, P> {
         if pred(from) {
             return Some(Vec::new());
         }
+        let tasks: Vec<Task> = self
+            .tasks
+            .iter()
+            .filter(|t| banned != Some(*t))
+            .cloned()
+            .collect();
         // `seen` numbers states in discovery order; `parent[id]` is the
         // step that discovered `id`.
         let mut seen = StateStore::new();
         let (root, _) = seen.intern(from);
         let mut parent: Vec<Option<(StateId, Task)>> = vec![None];
         let mut queue = VecDeque::from([root]);
+        let mut succs = Vec::new();
+        let mut stats = CacheStats::default();
         while let Some(id) = queue.pop_front() {
-            for t in &self.tasks {
-                if banned == Some(t) {
+            self.packed
+                .expand(&tasks, seen.resolve(id), true, &mut succs, &mut stats);
+            for (t, _, s2) in succs.drain(..) {
+                let hash = fx_hash(&s2);
+                let (next, fresh) = seen.intern_prehashed(s2, hash);
+                if !fresh {
                     continue;
                 }
-                for (_, s2) in self.packed.succ_all(t, seen.resolve(id)) {
-                    if s2 == *seen.resolve(id) {
-                        continue;
+                parent.push(Some((id, t)));
+                if pred(seen.resolve(next)) {
+                    let mut path = Vec::new();
+                    let mut cur = next;
+                    while let Some((prev, task)) = &parent[cur.index()] {
+                        path.push((task.clone(), seen.resolve(cur).clone()));
+                        cur = *prev;
                     }
-                    let hash = fx_hash(&s2);
-                    let (next, fresh) = seen.intern_prehashed(s2, hash);
-                    if !fresh {
-                        continue;
-                    }
-                    parent.push(Some((id, t.clone())));
-                    if pred(seen.resolve(next)) {
-                        let mut path = Vec::new();
-                        let mut cur = next;
-                        while let Some((prev, task)) = &parent[cur.index()] {
-                            path.push((task.clone(), seen.resolve(cur).clone()));
-                            cur = *prev;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(next);
+                    path.reverse();
+                    return Some(path);
                 }
+                queue.push_back(next);
             }
         }
         None

@@ -154,29 +154,35 @@ pub trait Automaton: Sync {
     /// cache, if the implementation keeps one (`None` means "no cache",
     /// the default). Cumulative counters are shared by every workload
     /// that touches the automaton; per-exploration accounting instead
-    /// flows through the scoped sink of [`Automaton::succ_counted`]
-    /// into [`ExploreStats::cache`](crate::explore::ExploreStats::cache).
+    /// flows through the scoped sink of [`Automaton::expand`] into
+    /// [`ExploreStats::cache`](crate::explore::ExploreStats::cache).
     fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
 
-    /// [`Automaton::succ_all`] with a scoped cache-accounting sink: an
-    /// implementation that keeps a transition cache adds this call's
-    /// hit/miss outcome to `stats` *in addition to* its cumulative
-    /// counters. The explorer owns one sink per exploration, so
-    /// concurrent or interleaved workloads on a shared automaton can no
-    /// longer contaminate each other's [`CacheStats`] (snapshot
-    /// subtraction of the cumulative counters cannot distinguish them).
+    /// Appends every transition of every task in `tasks` from `s` to
+    /// `out` as `(task, action, state')`: task order first, then each
+    /// task's [`Automaton::succ_all`] branch order. With
+    /// `skip_self_loops`, transitions back to `s` are left out.
     ///
-    /// The default ignores the sink and delegates to `succ_all`.
-    fn succ_counted(
+    /// This is the explorer's one call per expanded state. An
+    /// implementation that keeps a transition cache adds one hit or
+    /// miss per task of `tasks` to `stats` *in addition to* its
+    /// cumulative counters, so every exploration owns its accounting
+    /// even when several workloads share one automaton. It may also
+    /// skip self-loops without ever building them.
+    ///
+    /// The default is [`expand_per_task`], which ignores the sink.
+    fn expand(
         &self,
-        t: &Self::Task,
+        tasks: &[Self::Task],
         s: &Self::State,
+        skip_self_loops: bool,
+        out: &mut Vec<(Self::Task, Self::Action, Self::State)>,
         stats: &mut CacheStats,
-    ) -> Vec<(Self::Action, Self::State)> {
+    ) {
         let _ = stats;
-        self.succ_all(t, s)
+        expand_per_task(self, tasks, s, skip_self_loops, out);
     }
 
     /// The structural *owner* of a locally controlled action: the one
@@ -225,6 +231,26 @@ pub trait Automaton: Sync {
     /// [`StateId`](crate::store::StateId).
     fn canonical(&self, s: Self::State) -> Self::State {
         s
+    }
+}
+
+/// [`Automaton::expand`] by one [`Automaton::succ_all`] call per task:
+/// the default expansion, and the one an implementation that overrides
+/// `expand` for a cache falls back on without it.
+pub fn expand_per_task<A: Automaton + ?Sized>(
+    aut: &A,
+    tasks: &[A::Task],
+    s: &A::State,
+    skip_self_loops: bool,
+    out: &mut Vec<(A::Task, A::Action, A::State)>,
+) {
+    for t in tasks {
+        for (a, s2) in aut.succ_all(t, s) {
+            if skip_self_loops && &s2 == s {
+                continue;
+            }
+            out.push((t.clone(), a, s2));
+        }
     }
 }
 

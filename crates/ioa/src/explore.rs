@@ -56,10 +56,10 @@ pub struct ExploreStats {
     pub truncation: Truncation,
     /// Hit/miss counters of the automaton's transition-effect cache
     /// over this exploration, or `None` for automata without one.
-    /// Accounted through the scoped sink of
-    /// [`Automaton::succ_counted`], so the numbers cover exactly this
-    /// exploration's expansions even when interleaved workloads share
-    /// the automaton (and its cumulative counters).
+    /// Accounted through the scoped sink of [`Automaton::expand`], so
+    /// the numbers cover exactly this exploration's expansions even
+    /// when interleaved workloads share the automaton (and its
+    /// cumulative counters).
     pub cache: Option<CacheStats>,
 }
 
@@ -241,13 +241,10 @@ impl<A: Automaton> ExploredGraph<A> {
     /// branch order of [`Automaton::succ_all`]. See DESIGN.md §2.1.1.
     pub fn explore_with(aut: &A, roots: Vec<A::State>, opts: ExploreOptions) -> Self {
         // Cache accounting is scoped: every expansion goes through
-        // `succ_counted` with this exploration's own sink, so the
-        // reported numbers cover exactly this run. (The previous
-        // snapshot-subtract over the automaton's *cumulative* counters
-        // drifted when a shared warm automaton — e.g. one
-        // `PackedSystem` across the Lemma 4 walk — served several
-        // interleaved workloads: their lookups all landed in whichever
-        // exploration happened to snapshot around them.)
+        // `expand` with this exploration's own sink, so the reported
+        // numbers cover exactly this run even when one warm automaton
+        // (e.g. one `PackedSystem` across the Lemma 4 walk) serves
+        // several interleaved workloads.
         let track_cache = aut.cache_stats().is_some();
         let mut b = Builder::new(&roots);
         b.expand_sequential(aut, opts);
@@ -388,7 +385,7 @@ struct Builder<A: Automaton> {
     truncated: bool,
     peak_frontier: usize,
     /// Scoped cache accounting for this exploration only (fed by the
-    /// [`Automaton::succ_counted`] sink).
+    /// [`Automaton::expand`] sink).
     cache: CacheStats,
 }
 
@@ -462,42 +459,34 @@ impl<A: Automaton> Builder<A> {
 
     /// The BFS loop: one state popped, expanded and merged at a time.
     ///
-    /// Under [`SymmetryMode::Full`] each successor is canonicalized to
-    /// its orbit representative before hashing, with a two-stage
-    /// self-loop check: concrete stutters (`s2 == s`) are dropped before
-    /// canonicalization, and *orbit* stutters (`canonical(s2) == s`, the
-    /// successor permuting back onto its canonical source) after it.
+    /// Each state is expanded by one [`Automaton::expand`] call into a
+    /// buffer reused across states, which drops concrete stutters
+    /// (`s2 == s`) when `skip_self_loops` is set. Under
+    /// [`SymmetryMode::Full`] each successor is then canonicalized to
+    /// its orbit representative before hashing, and *orbit* stutters
+    /// (`canonical(s2) == s`, the successor permuting back onto its
+    /// canonical source) are dropped after it.
     fn expand_sequential(&mut self, aut: &A, opts: ExploreOptions) {
         let tasks = aut.tasks();
         let canon = opts.symmetry.reduces();
+        let mut raw: Vec<(A::Task, A::Action, A::State)> = Vec::new();
+        let mut succs: Vec<Succ<A>> = Vec::new();
         while let Some(id) = self.queue.pop_front() {
             self.peak_frontier = self.peak_frontier.max(self.queue.len() + 1);
             // Collect successors under an immutable borrow of the
-            // arena, then intern them; succ_all hands back owned
+            // arena, then intern them; `expand` hands back owned
             // states, so the expanded state itself is never recloned.
-            // (The cache sink is copied out and written back around the
-            // borrow: CacheStats is Copy.)
-            let mut cache = self.cache;
-            let succs: Vec<Succ<A>> = {
-                let s = self.store.resolve(id);
-                let mut v = Vec::new();
-                for t in &tasks {
-                    for (a, s2) in aut.succ_counted(t, s, &mut cache) {
-                        if opts.skip_self_loops && &s2 == s {
-                            continue;
-                        }
-                        let s2 = if canon { aut.canonical(s2) } else { s2 };
-                        if canon && opts.skip_self_loops && &s2 == s {
-                            continue;
-                        }
-                        let h = crate::store::fx_hash(&s2);
-                        v.push((t.clone(), a, s2, h));
-                    }
+            let s = self.store.resolve(id);
+            aut.expand(&tasks, s, opts.skip_self_loops, &mut raw, &mut self.cache);
+            for (t, a, s2) in raw.drain(..) {
+                let s2 = if canon { aut.canonical(s2) } else { s2 };
+                if canon && opts.skip_self_loops && &s2 == s {
+                    continue;
                 }
-                v
-            };
-            self.cache = cache;
-            for (t, a, s2, h) in succs {
+                let h = crate::store::fx_hash(&s2);
+                succs.push((t, a, s2, h));
+            }
+            for (t, a, s2, h) in succs.drain(..) {
                 if let Some(id2) = self.admit(id, t, a, s2, h, opts.max_states) {
                     self.queue.push_back(id2);
                 }

@@ -22,7 +22,6 @@
 //! deterministic (no per-process SipHash keys), which keeps exploration
 //! order reproducible across runs.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiplier from the FxHash family (64-bit): a single odd constant
@@ -133,6 +132,112 @@ impl StateId {
     }
 }
 
+/// The id index shared by [`StateStore`] and [`Interner`]: an
+/// open-addressing table of dense `u32` ids over the arena they index.
+///
+/// `hashes[id]` caches the fx hash of arena entry `id`, and `slots`
+/// holds ids under linear probing (`EMPTY` marks a free slot). A probe
+/// compares cached hashes first and asks the arena for equality only on
+/// a full-hash match. The home slot comes from the hash's *high* bits:
+/// the multiply-xor Fx hash mixes upward, so its low bits are weak.
+/// Ids are implicit — entry `id` is the `id`-th [`IdIndex::push`] — so
+/// interning allocates nothing beyond the two vectors' own growth, and
+/// dropping the index frees two buffers.
+#[derive(Debug, Clone, Default)]
+struct IdIndex {
+    /// `hashes[id]` = fx hash of arena entry `id`.
+    hashes: Vec<u64>,
+    /// Power-of-two slot table (or empty), at most half full.
+    slots: Vec<u32>,
+}
+
+impl IdIndex {
+    /// A free slot.
+    const EMPTY: u32 = u32::MAX;
+
+    fn with_capacity(capacity: usize) -> Self {
+        let mut index = IdIndex {
+            hashes: Vec::with_capacity(capacity),
+            slots: Vec::new(),
+        };
+        index.resize_slots(Self::slots_for(capacity));
+        index
+    }
+
+    /// The slot-table size that keeps `entries` at most half full.
+    fn slots_for(entries: usize) -> usize {
+        if entries == 0 {
+            0
+        } else {
+            (entries * 2).next_power_of_two().max(8)
+        }
+    }
+
+    /// The home slot of `hash`: its top `log2(slots)` bits.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        // `slots.len() >= 8`, so the shift is below 64.
+        (hash >> (64 - bits)) as usize
+    }
+
+    /// The id of the entry with `hash` for which `eq` holds, if any.
+    #[inline]
+    fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            let id = self.slots[slot];
+            if id == Self::EMPTY {
+                return None;
+            }
+            let id = id as usize;
+            if self.hashes[id] == hash && eq(id) {
+                return Some(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Records a fresh entry with `hash` under the next id (`len()`),
+    /// which the caller has checked is absent.
+    fn push(&mut self, hash: u64) {
+        let id = self.hashes.len();
+        assert!(
+            u32::try_from(id).is_ok_and(|id| id != Self::EMPTY),
+            "index exceeds u32::MAX ids"
+        );
+        if (id + 1) * 2 > self.slots.len() {
+            self.resize_slots(Self::slots_for(id + 1));
+        }
+        self.hashes.push(hash);
+        self.place(id);
+    }
+
+    /// Puts `id` in the first free slot of its probe sequence.
+    fn place(&mut self, id: usize) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(self.hashes[id]);
+        while self.slots[slot] != Self::EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = id as u32;
+    }
+
+    /// Rebuilds the slot table at `size` slots from the cached hashes
+    /// (no arena entry is compared).
+    fn resize_slots(&mut self, size: usize) {
+        self.slots.clear();
+        self.slots.resize(size, Self::EMPTY);
+        for id in 0..self.hashes.len() {
+            self.place(id);
+        }
+    }
+}
+
 /// An append-only arena interning states of type `S`.
 ///
 /// * [`intern`](StateStore::intern) maps a state to its [`StateId`],
@@ -142,20 +247,20 @@ impl StateId {
 ///   O(1); the returned reference is stable for the store's lifetime
 ///   (states are never moved or dropped).
 ///
-/// Internally a `Vec<S>` arena plus an Fx-hashed bucket table mapping
-/// `hash(state) -> candidate ids`, so each state is stored exactly once
-/// even under hash collisions.
+/// Internally a `Vec<S>` arena plus an open-addressing id index over
+/// it, so each state is stored exactly once even under hash
+/// collisions.
 #[derive(Debug, Clone)]
 pub struct StateStore<S> {
     states: Vec<S>,
-    buckets: HashMap<u64, Vec<StateId>, BuildFxHasher>,
+    index: IdIndex,
 }
 
 impl<S> Default for StateStore<S> {
     fn default() -> Self {
         StateStore {
             states: Vec::new(),
-            buckets: HashMap::default(),
+            index: IdIndex::default(),
         }
     }
 }
@@ -172,7 +277,7 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     pub fn with_capacity(capacity: usize) -> Self {
         StateStore {
             states: Vec::with_capacity(capacity),
-            buckets: HashMap::with_capacity_and_hasher(capacity, BuildFxHasher::default()),
+            index: IdIndex::with_capacity(capacity),
         }
     }
 
@@ -188,6 +293,22 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
         self.states.is_empty()
     }
 
+    /// The id of the interned state equal to `state`, whose hash is
+    /// `hash`.
+    fn find(&self, state: &S, hash: u64) -> Option<StateId> {
+        self.index
+            .find(hash, |id| &self.states[id] == state)
+            .map(StateId::from_index)
+    }
+
+    /// Appends a state known to be absent under the next id.
+    fn push(&mut self, state: S, hash: u64) -> StateId {
+        let id = StateId::from_index(self.states.len());
+        self.index.push(hash);
+        self.states.push(state);
+        id
+    }
+
     /// Intern `state`, returning its id and whether it was fresh.
     ///
     /// On first sight the state is cloned into the arena and assigned
@@ -196,20 +317,14 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     /// layer ever clones or hashes a full state.
     ///
     /// # Panics
-    /// Panics if the arena already holds `u32::MAX as usize + 1` states
-    /// (the `u32` id space is exhausted).
+    /// Panics if the arena already holds `u32::MAX` states (the `u32`
+    /// id space is exhausted).
     pub fn intern(&mut self, state: &S) -> (StateId, bool) {
         let h = fx_hash(state);
-        let bucket = self.buckets.entry(h).or_default();
-        for &id in bucket.iter() {
-            if &self.states[id.index()] == state {
-                return (id, false);
-            }
+        match self.find(state, h) {
+            Some(id) => (id, false),
+            None => (self.push(state.clone(), h), true),
         }
-        let id = StateId::from_index(self.states.len());
-        self.states.push(state.clone());
-        bucket.push(id);
-        (id, true)
     }
 
     /// Intern `state` only if doing so keeps the arena within `cap`
@@ -218,19 +333,11 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     /// the explorer's budgeted BFS is built on.
     pub fn try_intern(&mut self, state: &S, cap: usize) -> Option<(StateId, bool)> {
         let h = fx_hash(state);
-        let bucket = self.buckets.entry(h).or_default();
-        for &id in bucket.iter() {
-            if &self.states[id.index()] == state {
-                return Some((id, false));
-            }
+        match self.find(state, h) {
+            Some(id) => Some((id, false)),
+            None if self.states.len() >= cap => None,
+            None => Some((self.push(state.clone(), h), true)),
         }
-        if self.states.len() >= cap {
-            return None;
-        }
-        let id = StateId::from_index(self.states.len());
-        self.states.push(state.clone());
-        bucket.push(id);
-        Some((id, true))
     }
 
     /// [`StateStore::intern`] with the hash supplied by the caller and
@@ -242,16 +349,10 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     /// this is debug-asserted.
     pub fn intern_prehashed(&mut self, state: S, hash: u64) -> (StateId, bool) {
         debug_assert_eq!(hash, fx_hash(&state), "prehashed value must match fx_hash");
-        let bucket = self.buckets.entry(hash).or_default();
-        for &id in bucket.iter() {
-            if self.states[id.index()] == state {
-                return (id, false);
-            }
+        match self.find(&state, hash) {
+            Some(id) => (id, false),
+            None => (self.push(state, hash), true),
         }
-        let id = StateId::from_index(self.states.len());
-        self.states.push(state);
-        bucket.push(id);
-        (id, true)
     }
 
     /// [`StateStore::try_intern`] with the hash supplied by the caller
@@ -265,30 +366,17 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
         cap: usize,
     ) -> Option<(StateId, bool)> {
         debug_assert_eq!(hash, fx_hash(&state), "prehashed value must match fx_hash");
-        let bucket = self.buckets.entry(hash).or_default();
-        for &id in bucket.iter() {
-            if self.states[id.index()] == state {
-                return Some((id, false));
-            }
+        match self.find(&state, hash) {
+            Some(id) => Some((id, false)),
+            None if self.states.len() >= cap => None,
+            None => Some((self.push(state, hash), true)),
         }
-        if self.states.len() >= cap {
-            return None;
-        }
-        let id = StateId::from_index(self.states.len());
-        self.states.push(state);
-        bucket.push(id);
-        Some((id, true))
     }
 
     /// Look up the id of an already-interned state without inserting.
     #[must_use]
     pub fn get(&self, state: &S) -> Option<StateId> {
-        let h = fx_hash(state);
-        let bucket = self.buckets.get(&h)?;
-        bucket
-            .iter()
-            .copied()
-            .find(|id| &self.states[id.index()] == state)
+        self.find(state, fx_hash(state))
     }
 
     /// Resolve an id back to its state. O(1) array access.
@@ -316,8 +404,7 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
     }
 
     /// Consume the store, moving the interned states out in id
-    /// (discovery) order. No state is cloned; the bucket table is
-    /// dropped.
+    /// (discovery) order. No state is cloned; the index is dropped.
     #[must_use]
     pub fn into_states(self) -> Vec<S> {
         self.states
@@ -374,17 +461,15 @@ impl CompId {
 #[derive(Debug, Clone)]
 pub struct Interner<T> {
     items: Vec<T>,
-    /// `hashes[id] = fx_hash(items[id])`, filled at intern time.
-    hashes: Vec<u64>,
-    buckets: HashMap<u64, Vec<CompId>, BuildFxHasher>,
+    /// The id index; its cached hashes answer [`Interner::hash_of`].
+    index: IdIndex,
 }
 
 impl<T> Default for Interner<T> {
     fn default() -> Self {
         Interner {
             items: Vec::new(),
-            hashes: Vec::new(),
-            buckets: HashMap::default(),
+            index: IdIndex::default(),
         }
     }
 }
@@ -413,20 +498,15 @@ impl<T: Hash + Eq> Interner<T> {
     /// is dropped and the existing id returned.
     ///
     /// # Panics
-    /// Panics if the arena already holds `u32::MAX as usize + 1`
-    /// components.
+    /// Panics if the arena already holds `u32::MAX` components.
     pub fn intern(&mut self, value: T) -> (CompId, bool) {
         let h = fx_hash(&value);
-        let bucket = self.buckets.entry(h).or_default();
-        for &id in bucket.iter() {
-            if self.items[id.index()] == value {
-                return (id, false);
-            }
+        if let Some(id) = self.index.find(h, |id| self.items[id] == value) {
+            return (CompId::from_index(id), false);
         }
         let id = CompId::from_index(self.items.len());
+        self.index.push(h);
         self.items.push(value);
-        self.hashes.push(h);
-        bucket.push(id);
         (id, true)
     }
 
@@ -434,12 +514,9 @@ impl<T: Hash + Eq> Interner<T> {
     /// inserting.
     #[must_use]
     pub fn get(&self, value: &T) -> Option<CompId> {
-        let h = fx_hash(value);
-        let bucket = self.buckets.get(&h)?;
-        bucket
-            .iter()
-            .copied()
-            .find(|id| &self.items[id.index()] == value)
+        self.index
+            .find(fx_hash(value), |id| &self.items[id] == value)
+            .map(CompId::from_index)
     }
 
     /// Resolve an id back to its component. O(1) array access; the
@@ -461,7 +538,7 @@ impl<T: Hash + Eq> Interner<T> {
     #[inline]
     #[must_use]
     pub fn hash_of(&self, id: CompId) -> u64 {
-        self.hashes[id.index()]
+        self.index.hashes[id.index()]
     }
 
     /// Iterate all interned components in id (first-sight) order.
@@ -629,6 +706,70 @@ mod tests {
         assert_eq!(it.intern(AllCollide(1)), (a, false));
         assert_eq!(it.hash_of(a), it.hash_of(b));
         assert_eq!(*it.resolve(b), AllCollide(2));
+    }
+
+    #[test]
+    fn ids_and_get_survive_several_growths() {
+        // 1,000 entries take the slot table from 8 to 2,048 slots:
+        // eight rehashes, each from the cached hashes alone.
+        let mut st = StateStore::with_capacity(3);
+        let mut it = Interner::new();
+        for i in 0..1_000u64 {
+            assert_eq!(st.intern(&i), (StateId::from_index(i as usize), true));
+            assert_eq!(it.intern(i), (CompId::from_index(i as usize), true));
+        }
+        for i in 0..1_000u64 {
+            assert_eq!(st.get(&i), Some(StateId::from_index(i as usize)));
+            assert_eq!(it.get(&i), Some(CompId::from_index(i as usize)));
+            assert_eq!(it.hash_of(CompId::from_index(i as usize)), fx_hash(&i));
+        }
+        assert_eq!(st.get(&1_000), None);
+        assert_eq!(it.get(&1_000), None);
+        assert_eq!(st.intern(&17), (StateId::from_index(17), false));
+        assert_eq!((st.len(), it.len()), (1_000, 1_000));
+    }
+
+    #[test]
+    fn all_colliding_hashes_work_in_both_arenas() {
+        // Every value hashes alike, so every probe walks one cluster
+        // and the arena's equality alone tells entries apart, across
+        // growths of the slot table.
+        #[derive(Clone, PartialEq, Eq, Debug)]
+        struct Same(u32);
+        impl Hash for Same {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                state.write_u64(3);
+            }
+        }
+        let mut st = StateStore::new();
+        let mut it = Interner::new();
+        for k in 0..100 {
+            assert_eq!(st.intern(&Same(k)), (StateId(k), true));
+            assert_eq!(it.intern(Same(k)), (CompId(k), true));
+        }
+        for k in 0..100 {
+            assert_eq!(st.get(&Same(k)), Some(StateId(k)));
+            assert_eq!(st.intern(&Same(k)), (StateId(k), false));
+            assert_eq!(it.intern(Same(k)), (CompId(k), false));
+            assert_eq!(*it.resolve(CompId(k)), Same(k));
+        }
+        assert_eq!(st.get(&Same(100)), None);
+        assert_eq!(it.get(&Same(100)), None);
+        assert_eq!(st.try_intern(&Same(100), 100), None);
+        assert_eq!(st.len(), 100);
+    }
+
+    #[test]
+    fn get_works_on_an_empty_store() {
+        assert_eq!(StateStore::<u64>::new().get(&1), None);
+        assert_eq!(StateStore::<u64>::with_capacity(0).get(&1), None);
+        assert_eq!(StateStore::<u64>::with_capacity(10).get(&1), None);
+        assert_eq!(Interner::<u64>::new().get(&1), None);
+        // A refused admission leaves the store empty and unindexed.
+        let mut st = StateStore::<u64>::new();
+        assert_eq!(st.try_intern(&1, 0), None);
+        assert!(st.is_empty());
+        assert_eq!(st.get(&1), None);
     }
 
     #[test]

@@ -33,9 +33,9 @@
 
 use crate::action::{Action, Task};
 use crate::build::{CompleteSystem, Delta, ProcStep, StateView, SystemState};
-use crate::effect_cache::{BranchEntry, EffectCache, PopEntry, ProcStepEntry};
+use crate::effect_cache::{BranchEntry, EffectCache, PopEntry, ProcStepEntry, Tables};
 use crate::process::ProcessAutomaton;
-use ioa::automaton::{ActionKind, Automaton, CacheStats};
+use ioa::automaton::{expand_per_task, ActionKind, Automaton, CacheStats};
 use ioa::canon::{Perm, SymGroup, SymmetryMode};
 use ioa::store::{fx_hash, BuildFxHasher, CompId, Interner};
 use services::SvcState;
@@ -492,15 +492,22 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
 
     // ----- cached successor expansion --------------------------------
     //
-    // Each helper below resolves exactly the component(s) its key names
-    // under a short-lived read guard, computes the effect through the
-    // same `CompleteSystem` entry points `succ_effects` uses
-    // (`proc_step`, `enqueue_effect`, the `Service` methods,
-    // `on_response`), interns the results, and publishes the entry.
-    // Guards are never nested across arenas and never held across a
-    // cache-table lock, so the lock order is trivially acyclic.
+    // `dispatch` is the one cached expansion of a task: it borrows
+    // entries under the caller's read guard on the effect tables and
+    // reports the first missing one as a `Missing` key. `expand_cached`
+    // drives it — one read guard per state, across all its tasks — and
+    // on a miss drops the guard, lets `fill` run the key's `miss_*`
+    // helper, and retries the task.
+    //
+    // Each helper resolves exactly the component(s) its key names under
+    // a short-lived read guard, computes the effect through the same
+    // `CompleteSystem` entry points `succ_effects` uses (`proc_step`,
+    // `enqueue_effect`, the `Service` methods, `on_response`), interns
+    // the results, and publishes the entry under the tables' write
+    // guard. Guards are never nested across arenas and never held
+    // across the tables' lock, so the lock order is trivially acyclic.
 
-    fn miss_step(&self, cache: &EffectCache, i: ProcId, pc: u32) -> ProcStepEntry {
+    fn miss_step(&self, cache: &EffectCache, i: ProcId, pc: u32) {
         let step = {
             let procs = self.procs.read().expect("interner lock poisoned");
             self.sys
@@ -516,19 +523,10 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 ProcStepEntry::Invoke(c, inv, id_bits(procs.intern(pst2).0))
             }
         };
-        cache.step_put(i, pc, entry.clone());
-        entry
+        cache.write().step_put(i, pc, entry);
     }
 
-    fn miss_enqueue(
-        &self,
-        cache: &EffectCache,
-        i: ProcId,
-        pc: u32,
-        c: SvcId,
-        inv: &Inv,
-        sc: u32,
-    ) -> u32 {
+    fn miss_enqueue(&self, cache: &EffectCache, i: ProcId, pc: u32, c: SvcId, inv: &Inv, sc: u32) {
         let st2 = {
             let svcs = self.svcs.read().expect("interner lock poisoned");
             self.sys
@@ -541,26 +539,20 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 .intern(st2)
                 .0,
         );
-        cache.enqueue_put(i, pc, sc, sc2);
-        sc2
+        cache.write().enqueue_put(i, pc, sc, sc2);
     }
 
-    fn miss_perform(&self, cache: &EffectCache, c: SvcId, i: ProcId, sc: u32) -> BranchEntry {
+    fn miss_perform(&self, cache: &EffectCache, c: SvcId, i: ProcId, sc: u32) {
         let svc = &self.sys.services()[c.0];
         let (branches, dummy) = {
             let svcs = self.svcs.read().expect("interner lock poisoned");
             let st = svcs.resolve(CompId::from_index(sc as usize));
             (svc.perform_all(i, st), svc.dummy_perform_enabled(i, st))
         };
-        let mut w = self.svcs.write().expect("interner lock poisoned");
-        let real: Box<[u32]> = branches
-            .into_iter()
-            .map(|st2| id_bits(w.intern(st2).0))
-            .collect();
-        drop(w);
-        let entry = BranchEntry { real, dummy };
-        cache.perform_put(c, i, sc, entry.clone());
-        entry
+        let real = self.intern_svcs(branches);
+        cache
+            .write()
+            .perform_put(c, i, sc, BranchEntry { real, dummy });
     }
 
     fn miss_compute(
@@ -568,26 +560,31 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         cache: &EffectCache,
         c: SvcId,
         g: &spec::GlobalTaskId,
+        k: usize,
         sc: u32,
-    ) -> BranchEntry {
+    ) {
         let svc = &self.sys.services()[c.0];
         let (branches, dummy) = {
             let svcs = self.svcs.read().expect("interner lock poisoned");
             let st = svcs.resolve(CompId::from_index(sc as usize));
             (svc.compute_all(g, st), svc.dummy_compute_enabled(st))
         };
-        let mut w = self.svcs.write().expect("interner lock poisoned");
-        let real: Box<[u32]> = branches
-            .into_iter()
-            .map(|st2| id_bits(w.intern(st2).0))
-            .collect();
-        drop(w);
-        let entry = BranchEntry { real, dummy };
-        cache.compute_put(c, g, sc, entry.clone());
-        entry
+        let real = self.intern_svcs(branches);
+        cache
+            .write()
+            .compute_put(k, sc, BranchEntry { real, dummy });
     }
 
-    fn miss_pop(&self, cache: &EffectCache, c: SvcId, i: ProcId, sc: u32) -> PopEntry {
+    /// Interns a branch list's service components, in order.
+    fn intern_svcs(&self, branches: Vec<SvcState>) -> Box<[u32]> {
+        let mut w = self.svcs.write().expect("interner lock poisoned");
+        branches
+            .into_iter()
+            .map(|st2| id_bits(w.intern(st2).0))
+            .collect()
+    }
+
+    fn miss_pop(&self, cache: &EffectCache, c: SvcId, i: ProcId, sc: u32) {
         let svc = &self.sys.services()[c.0];
         let (popped, dummy) = {
             let svcs = self.svcs.read().expect("interner lock poisoned");
@@ -604,9 +601,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             );
             (r, sc2)
         });
-        let entry = PopEntry { resp, dummy };
-        cache.pop_put(c, i, sc, entry.clone());
-        entry
+        cache.write().pop_put(c, i, sc, PopEntry { resp, dummy });
     }
 
     fn miss_on_resp(
@@ -617,7 +612,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         sc: u32,
         pc: u32,
         resp: &Resp,
-    ) -> u32 {
+    ) {
         let p2 = {
             let procs = self.procs.read().expect("interner lock poisoned");
             self.sys.process_automaton().on_response(
@@ -634,117 +629,169 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 .intern(p2)
                 .0,
         );
-        cache.on_resp_put(c, i, sc, pc, pc2);
-        pc2
+        cache.write().on_resp_put(c, i, sc, pc, pc2);
     }
 
-    /// `Task::Proc(i)` through the cache: failed processes stutter
-    /// inline (no effect to memoize); live ones look up the step
-    /// outcome by proc comp, and an `Invoke` additionally looks up the
-    /// enqueue by `(proc comp, svc comp)`.
-    fn proc_cached(
-        &self,
-        cache: &EffectCache,
-        i: ProcId,
-        ps: &PackedState,
-        hit: &mut bool,
-    ) -> Vec<(Action, PackedState)> {
-        let mask = ps.comps[self.n + self.m];
-        if (mask >> i.0) & 1 == 1 {
-            return vec![(Action::ProcStep(i), ps.clone())];
-        }
-        let pc = ps.comps[i.0];
-        let entry = cache.step_get(i, pc).unwrap_or_else(|| {
-            *hit = false;
-            self.miss_step(cache, i, pc)
-        });
-        match entry {
-            ProcStepEntry::Local(a, pc2) => vec![(a, ps.splice1(i.0, pc2))],
-            ProcStepEntry::Invoke(c, inv, pc2) => {
-                let slot = self.n + c.0;
-                let sc = ps.comps[slot];
-                let sc2 = cache.enqueue_get(i, pc, sc).unwrap_or_else(|| {
-                    *hit = false;
-                    self.miss_enqueue(cache, i, pc, c, &inv, sc)
-                });
-                vec![(Action::Invoke(i, c, inv), ps.splice2(i.0, pc2, slot, sc2))]
-            }
+    /// Fills the entry `missing` names, through its `miss_*` helper.
+    /// The caller holds no guard on the effect tables.
+    fn fill(&self, cache: &EffectCache, missing: Missing) {
+        match missing {
+            Missing::Step(i, pc) => self.miss_step(cache, i, pc),
+            Missing::Enqueue(i, pc, c, inv, sc) => self.miss_enqueue(cache, i, pc, c, &inv, sc),
+            Missing::Perform(c, i, sc) => self.miss_perform(cache, c, i, sc),
+            Missing::Compute(c, g, k, sc) => self.miss_compute(cache, c, &g, k, sc),
+            Missing::Pop(c, i, sc) => self.miss_pop(cache, c, i, sc),
+            Missing::OnResp(c, i, sc, pc, resp) => self.miss_on_resp(cache, c, i, sc, pc, &resp),
         }
     }
 
-    /// Successor expansion through the effect cache. Branch order is
-    /// the canonical `succ_effects` order (real branches in δ order,
-    /// then the dummy), so the explored graph is bit-identical to the
-    /// uncached path — see the `effect_cache` module docs for why.
-    fn succ_cached(
+    /// Task `t`'s transitions from `ps`, read from entries borrowed out
+    /// of `tables` and passed to `emit` in the canonical `succ_effects`
+    /// order (real branches in δ order, then the dummy), so the
+    /// explored graph is bit-identical to the uncached path — see the
+    /// `effect_cache` module docs for why.
+    ///
+    /// With `skip_self_loops`, stutters are recognized without being
+    /// built: a crashed process's step, a dummy branch, and a splice
+    /// whose new ids equal the current slots are never emitted. Every
+    /// lookup precedes the first `emit`, so a missing entry ends the
+    /// attempt with nothing emitted and names the key to fill.
+    fn dispatch(
         &self,
         cache: &EffectCache,
+        tables: &Tables,
         t: &Task,
         ps: &PackedState,
-    ) -> (Vec<(Action, PackedState)>, bool) {
-        let mut hit = true;
-        let out = match t {
-            Task::Proc(i) => self.proc_cached(cache, *i, ps, &mut hit),
+        skip_self_loops: bool,
+        mut emit: impl FnMut(Action, PackedState),
+    ) -> Result<(), Missing> {
+        // `keep(same)`: whether to emit a successor that equals `ps`
+        // exactly when `same` holds.
+        let keep = |same: bool| !(skip_self_loops && same);
+        match t {
+            Task::Proc(i) => {
+                let i = *i;
+                if (ps.failed_mask() >> i.0) & 1 == 1 {
+                    if keep(true) {
+                        emit(Action::ProcStep(i), ps.clone());
+                    }
+                    return Ok(());
+                }
+                let pc = ps.comps[i.0];
+                match tables.step(i, pc).ok_or(Missing::Step(i, pc))? {
+                    ProcStepEntry::Local(a, pc2) => {
+                        if keep(*pc2 == pc) {
+                            emit(a.clone(), ps.splice1(i.0, *pc2));
+                        }
+                    }
+                    ProcStepEntry::Invoke(c, inv, pc2) => {
+                        let slot = self.n + c.0;
+                        let sc = ps.comps[slot];
+                        let sc2 = tables
+                            .enqueue(i, pc, sc)
+                            .ok_or_else(|| Missing::Enqueue(i, pc, *c, inv.clone(), sc))?;
+                        if keep(*pc2 == pc && sc2 == sc) {
+                            emit(
+                                Action::Invoke(i, *c, inv.clone()),
+                                ps.splice2(i.0, *pc2, slot, sc2),
+                            );
+                        }
+                    }
+                }
+            }
             Task::Perform(c, i) => {
                 let slot = self.n + c.0;
                 let sc = ps.comps[slot];
-                let br = cache.perform_get(*c, *i, sc).unwrap_or_else(|| {
-                    hit = false;
-                    self.miss_perform(cache, *c, *i, sc)
-                });
-                let mut out: Vec<(Action, PackedState)> = br
-                    .real
-                    .iter()
-                    .map(|&sc2| (Action::Perform(*c, *i), ps.splice1(slot, sc2)))
-                    .collect();
-                if br.dummy {
-                    out.push((Action::DummyPerform(*c, *i), ps.clone()));
+                let br = tables
+                    .perform(*c, *i, sc)
+                    .ok_or(Missing::Perform(*c, *i, sc))?;
+                for &sc2 in br.real.iter() {
+                    if keep(sc2 == sc) {
+                        emit(Action::Perform(*c, *i), ps.splice1(slot, sc2));
+                    }
                 }
-                out
+                if br.dummy && keep(true) {
+                    emit(Action::DummyPerform(*c, *i), ps.clone());
+                }
             }
             Task::Output(c, i) => {
                 let slot = self.n + c.0;
                 let sc = ps.comps[slot];
-                let pop = cache.pop_get(*c, *i, sc).unwrap_or_else(|| {
-                    hit = false;
-                    self.miss_pop(cache, *c, *i, sc)
-                });
-                let mut out = Vec::new();
-                if let Some((resp, sc2)) = pop.resp {
+                let pop = tables.pop(*c, *i, sc).ok_or(Missing::Pop(*c, *i, sc))?;
+                if let Some((resp, sc2)) = &pop.resp {
                     let pc = ps.comps[i.0];
-                    let pc2 = cache.on_resp_get(*c, *i, sc, pc).unwrap_or_else(|| {
-                        hit = false;
-                        self.miss_on_resp(cache, *c, *i, sc, pc, &resp)
-                    });
-                    out.push((
-                        Action::Respond(*c, *i, resp),
-                        ps.splice2(i.0, pc2, slot, sc2),
-                    ));
+                    let pc2 = tables
+                        .on_resp(*c, *i, sc, pc)
+                        .ok_or_else(|| Missing::OnResp(*c, *i, sc, pc, resp.clone()))?;
+                    if keep(pc2 == pc && *sc2 == sc) {
+                        emit(
+                            Action::Respond(*c, *i, resp.clone()),
+                            ps.splice2(i.0, pc2, slot, *sc2),
+                        );
+                    }
                 }
-                if pop.dummy {
-                    out.push((Action::DummyOutput(*c, *i), ps.clone()));
+                if pop.dummy && keep(true) {
+                    emit(Action::DummyOutput(*c, *i), ps.clone());
                 }
-                out
             }
             Task::Compute(c, g) => {
                 let slot = self.n + c.0;
                 let sc = ps.comps[slot];
-                let br = cache.compute_get(*c, g, sc).unwrap_or_else(|| {
-                    hit = false;
-                    self.miss_compute(cache, *c, g, sc)
-                });
-                let mut out: Vec<(Action, PackedState)> = br
-                    .real
-                    .iter()
-                    .map(|&sc2| (Action::Compute(*c, g.clone()), ps.splice1(slot, sc2)))
-                    .collect();
-                if br.dummy {
-                    out.push((Action::DummyCompute(*c, g.clone()), ps.clone()));
+                let k = cache.compute_index(*c, g);
+                let br = tables
+                    .compute(k, sc)
+                    .ok_or_else(|| Missing::Compute(*c, g.clone(), k, sc))?;
+                for &sc2 in br.real.iter() {
+                    if keep(sc2 == sc) {
+                        emit(Action::Compute(*c, g.clone()), ps.splice1(slot, sc2));
+                    }
                 }
-                out
+                if br.dummy && keep(true) {
+                    emit(Action::DummyCompute(*c, g.clone()), ps.clone());
+                }
             }
-        };
-        (out, hit)
+        }
+        Ok(())
+    }
+
+    /// The cached expansion of `tasks` from `ps`, in task order: one
+    /// read guard on the effect tables for the whole state; a task that
+    /// meets a missing entry drops it, fills the entry and retries.
+    /// Each task counts one hit or one miss, in the cache's cumulative
+    /// counters and in `stats`.
+    fn expand_cached(
+        &self,
+        cache: &EffectCache,
+        tasks: &[Task],
+        ps: &PackedState,
+        skip_self_loops: bool,
+        mut emit: impl FnMut(&Task, Action, PackedState),
+        stats: &mut CacheStats,
+    ) {
+        let mut tables = cache.read();
+        let mut hits = 0;
+        for t in tasks {
+            let mut hit = true;
+            while let Err(missing) =
+                self.dispatch(cache, &tables, t, ps, skip_self_loops, |a, s2| {
+                    emit(t, a, s2)
+                })
+            {
+                hit = false;
+                drop(tables);
+                self.fill(cache, missing);
+                tables = cache.read();
+            }
+            if hit {
+                hits += 1;
+            } else {
+                cache.record_miss();
+                stats.misses += 1;
+            }
+        }
+        drop(tables);
+        cache.record_hits(hits);
+        stats.hits += hits;
     }
 
     /// Unpacks back into the deep representation (see
@@ -767,6 +814,24 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
             symmetry: self.symmetry.clone(),
         }
     }
+}
+
+/// The effect-table entry a cached task expansion found missing: the
+/// key its `miss_*` helper fills, with the invocation or response the
+/// helper needs copied out of the entry that led to it.
+enum Missing {
+    /// `step[i][pc]`.
+    Step(ProcId, u32),
+    /// `enqueue[i][(pc, sc)]` of invoking `inv` on service `c`.
+    Enqueue(ProcId, u32, SvcId, Inv, u32),
+    /// `perform[(c, i)][sc]`.
+    Perform(SvcId, ProcId, u32),
+    /// `compute[k][sc]` of global task `g` (dense number `k`) of `c`.
+    Compute(SvcId, spec::GlobalTaskId, usize, u32),
+    /// `pop[(c, i)][sc]`.
+    Pop(SvcId, ProcId, u32),
+    /// `on_resp[(c, i)][(sc, pc)]` of delivering `resp`.
+    OnResp(SvcId, ProcId, u32, u32, Resp),
 }
 
 /// A handle on a [`PackedSystem`]'s tables: the component sub-arenas,
@@ -1097,8 +1162,15 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
 
     fn succ_all(&self, t: &Task, ps: &PackedState) -> Vec<(Action, PackedState)> {
         if let Some(cache) = &self.cache {
-            let (out, hit) = self.succ_cached(cache, t, ps);
-            cache.record(hit);
+            let mut out = Vec::new();
+            self.expand_cached(
+                cache,
+                std::slice::from_ref(t),
+                ps,
+                false,
+                |_, a, s2| out.push((a, s2)),
+                &mut CacheStats::default(),
+            );
             return out;
         }
         // Uncached reference path: enumerate under read guards, then
@@ -1160,24 +1232,25 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
         self.cache.as_deref().map(EffectCache::stats)
     }
 
-    fn succ_counted(
+    fn expand(
         &self,
-        t: &Task,
+        tasks: &[Task],
         s: &PackedState,
+        skip_self_loops: bool,
+        out: &mut Vec<(Task, Action, PackedState)>,
         stats: &mut CacheStats,
-    ) -> Vec<(Action, PackedState)> {
-        if let Some(cache) = &self.cache {
-            let (out, hit) = self.succ_cached(cache, t, s);
-            cache.record(hit);
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            out
-        } else {
-            self.succ_all(t, s)
-        }
+    ) {
+        let Some(cache) = &self.cache else {
+            return expand_per_task(self, tasks, s, skip_self_loops, out);
+        };
+        self.expand_cached(
+            cache,
+            tasks,
+            s,
+            skip_self_loops,
+            |t, a, s2| out.push((t.clone(), a, s2)),
+            stats,
+        );
     }
 
     fn canonical(&self, s: PackedState) -> PackedState {

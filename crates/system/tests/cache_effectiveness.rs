@@ -9,7 +9,7 @@
 //! being stored, or an invalidation crept in) and the memoization layer
 //! is no longer buying anything.
 
-use ioa::automaton::Automaton;
+use ioa::automaton::{Automaton, CacheStats};
 use services::atomic::CanonicalAtomicObject;
 use spec::seq::BinaryConsensus;
 use spec::{ProcId, SvcId};
@@ -92,10 +92,11 @@ fn cached_expansions_never_deep_clone_after_warmup() {
     let before = packed.cache_stats().expect("cache enabled");
 
     let root = packed.encode(&initialize(&sys, &InputAssignment::monotone(3, 1)));
+    let tasks = sys.tasks();
     services::state::clones::reset();
     system::build::clones::reset();
-    for t in sys.tasks() {
-        let _ = packed.succ_all(&t, &root);
+    for t in &tasks {
+        let _ = packed.succ_all(t, &root);
     }
     assert_eq!(
         system::build::clones::count(),
@@ -110,6 +111,33 @@ fn cached_expansions_never_deep_clone_after_warmup() {
     let after = packed.cache_stats().expect("cache enabled").since(&before);
     assert_eq!(after.misses, 0, "the root's tasks were all warmed");
     assert!(after.hits > 0);
+
+    // The whole-state expansion the explorer makes, with and without
+    // self-loops: the same guarantees, and one hit per task.
+    for skip_self_loops in [false, true] {
+        let mut out = Vec::new();
+        let mut stats = CacheStats::default();
+        packed.expand(&tasks, &root, skip_self_loops, &mut out, &mut stats);
+        assert!(!out.is_empty());
+        assert_eq!(
+            system::build::clones::count(),
+            0,
+            "a warm whole-state expansion deep-cloned a whole SystemState"
+        );
+        assert_eq!(
+            services::state::clones::count(),
+            0,
+            "a warm whole-state expansion cloned a service component"
+        );
+        assert_eq!(
+            stats,
+            CacheStats {
+                hits: tasks.len() as u64,
+                misses: 0
+            },
+            "the root's tasks were all warmed"
+        );
+    }
 }
 
 #[test]

@@ -39,10 +39,12 @@
 //! audited substrate clean, 1 any violation, 2 violation-free but
 //! some rule unauditable.
 //!
-//! Each subcommand takes only the flags listed above, each at most
-//! once and each with a value. Anything else (a misspelt or foreign
-//! flag, a repeat, a trailing flag without its value) exits 2 with one
-//! `error:` line naming the flag, before anything is built.
+//! Each subcommand takes only the operands and flags listed above:
+//! `check` exactly one EXPR, every other subcommand no operand, and
+//! each flag at most once and with a value. Anything else (a stray or
+//! missing operand, a misspelt or foreign flag, a repeat, a trailing
+//! flag without its value) exits 2 with one `error:` line naming the
+//! operand or flag, before anything is built.
 //!
 //! Numeric flags are checked against what the library accepts before
 //! anything is built: `--n` lies in `1..=32` (the packed state layout's
@@ -92,14 +94,53 @@ use system::sched::initialize;
 /// A subcommand's entry point.
 type Command = fn(&Args) -> ExitCode;
 
-/// Every subcommand, with the flags it reads (and so accepts).
-const COMMANDS: [(&str, &[&str], Command); 6] = [
-    ("witness", &["class", "n", "f", "symmetry"], witness_cmd),
-    ("certify", &["construction", "n", "k"], certify_cmd),
-    ("hook", &["n", "f", "dot", "symmetry"], hook_cmd),
-    ("census", &["n", "f", "symmetry"], census_cmd),
-    ("check", &["class", "n", "f", "ones", "symmetry"], check_cmd),
-    ("audit", &["class", "n", "f", "budget"], audit_cmd),
+/// One subcommand: its name, the operands it takes (by their usage
+/// names), the flags it reads (and so accepts), and its entry point.
+struct Subcommand {
+    name: &'static str,
+    operands: &'static [&'static str],
+    flags: &'static [&'static str],
+    run: Command,
+}
+
+/// Every subcommand. Only `check` takes an operand, its EXPR.
+const COMMANDS: [Subcommand; 6] = [
+    Subcommand {
+        name: "witness",
+        operands: &[],
+        flags: &["class", "n", "f", "symmetry"],
+        run: witness_cmd,
+    },
+    Subcommand {
+        name: "certify",
+        operands: &[],
+        flags: &["construction", "n", "k"],
+        run: certify_cmd,
+    },
+    Subcommand {
+        name: "hook",
+        operands: &[],
+        flags: &["n", "f", "dot", "symmetry"],
+        run: hook_cmd,
+    },
+    Subcommand {
+        name: "census",
+        operands: &[],
+        flags: &["n", "f", "symmetry"],
+        run: census_cmd,
+    },
+    Subcommand {
+        name: "check",
+        operands: &["EXPR"],
+        flags: &["class", "n", "f", "ones", "symmetry"],
+        run: check_cmd,
+    },
+    Subcommand {
+        name: "audit",
+        operands: &[],
+        flags: &["class", "n", "f", "budget"],
+        run: audit_cmd,
+    },
 ];
 
 /// Minimal argument parser: positional operands and `--key value` flag
@@ -110,21 +151,33 @@ struct Args {
 }
 
 impl Args {
-    /// Splits `rest` into operands and flags, refusing a flag `cmd`
-    /// does not take (`allowed`), a repeated flag, or a flag with no
-    /// value: one `error:` line, exit 2.
-    fn parse(cmd: &str, allowed: &[&str], mut rest: impl Iterator<Item = String>) -> Args {
+    /// Splits `rest` into operands and flags, refusing an operand
+    /// beyond those `cmd` takes, a missing operand, a flag `cmd` does
+    /// not read, a repeated flag, or a flag with no value: one `error:`
+    /// line, exit 2.
+    fn parse(cmd: &Subcommand, mut rest: impl Iterator<Item = String>) -> Args {
         let mut positional = Vec::new();
         let mut flags: Vec<(String, String)> = Vec::new();
         while let Some(arg) = rest.next() {
             let Some(key) = arg.strip_prefix("--") else {
+                if positional.len() == cmd.operands.len() {
+                    let takes = match cmd.operands {
+                        [] => "no operand".to_string(),
+                        ops => format!("only {}", ops.join(" ")),
+                    };
+                    fail(&format!(
+                        "unexpected operand {arg:?} for {} (it takes {takes})",
+                        cmd.name
+                    ));
+                }
                 positional.push(arg);
                 continue;
             };
-            if !allowed.contains(&key) {
-                let takes: Vec<String> = allowed.iter().map(|k| format!("--{k}")).collect();
+            if !cmd.flags.contains(&key) {
+                let takes: Vec<String> = cmd.flags.iter().map(|k| format!("--{k}")).collect();
                 fail(&format!(
-                    "unknown flag --{key} for {cmd} (it takes {})",
+                    "unknown flag --{key} for {} (it takes {})",
+                    cmd.name,
                     takes.join(", ")
                 ));
             }
@@ -135,6 +188,9 @@ impl Args {
                 fail(&format!("--{key} wants a value"));
             };
             flags.push((key.to_string(), value));
+        }
+        if let Some(missing) = cmd.operands.get(positional.len()) {
+            fail(&format!("{} wants its {missing} operand", cmd.name));
         }
         Args { positional, flags }
     }
@@ -198,6 +254,7 @@ fn die(msg: &str) -> ! {
          repro audit [--class atomic|registers|oblivious|general|mixed|tas|universal|flooding|snapshot|fd-boost|set-boost|derived-fd|all|broken-sym|broken-tasks|broken-impure] [--n N] [--f F] [--budget STATES]\n\
          \n\
          --n is in 1..=32; witness needs f + 1 < n; set-boost needs 1 <= k < n with k | n\n\
+         check takes exactly one EXPR operand (quote it); the other subcommands take none\n\
          \n\
          audit statically checks substrate contracts (task partition, determinism,\n  \
          symmetry honesty, effect purity) component-locally — no exploration.\n  \
@@ -626,9 +683,8 @@ fn audit_cmd(args: &Args) -> ExitCode {
 }
 
 fn check_cmd(args: &Args) -> ExitCode {
-    let Some(expr) = args.positional.first() else {
-        die("check wants a property expression, e.g. repro check 'always(safe)' --class atomic")
-    };
+    // `Args::parse` refused any other operand count.
+    let expr = &args.positional[0];
     let class = args.get("class").unwrap_or("atomic");
     let n = args.n(2, if class == "general" { 2 } else { 1 });
     let f = args.usize_or("f", 0);
@@ -671,8 +727,8 @@ fn main() -> ExitCode {
     let Some(cmd) = argv.next() else {
         die("missing subcommand");
     };
-    let Some(&(_, allowed, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+    let Some(sub) = COMMANDS.iter().find(|sub| sub.name == cmd) else {
         die(&format!("unknown command {cmd:?}"));
     };
-    run(&Args::parse(&cmd, allowed, argv))
+    (sub.run)(&Args::parse(sub, argv))
 }

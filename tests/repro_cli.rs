@@ -9,8 +9,8 @@
 //! verdicts either way on an id-symmetric candidate. Out-of-range
 //! numeric flags and process indices must be refused with one `error:`
 //! line and exit 2 before the library's own assertions can panic, and
-//! so must a flag the subcommand does not read, a repeated flag and a
-//! flag without its value.
+//! so must a flag the subcommand does not read, a repeated flag, a
+//! flag without its value, and a stray or missing operand.
 
 use std::process::{Command, Output};
 
@@ -289,4 +289,37 @@ fn repeated_flag_is_refused() {
         &["witness", "--n", "3", "--f", "1", "--n", "4"],
         "--n given more than once",
     );
+}
+
+#[test]
+fn second_check_expression_is_refused() {
+    // Used to evaluate only the first expression, print one HOLDS line
+    // and exit 0, although the dropped property fails.
+    assert_refused(
+        &[
+            "check",
+            "always(safe)",
+            "ef(failed(0))",
+            "--n",
+            "2",
+            "--f",
+            "0",
+        ],
+        "unexpected operand \"ef(failed(0))\" for check (it takes only EXPR)",
+    );
+}
+
+#[test]
+fn stray_operand_is_refused() {
+    // Used to run as if the word were not there.
+    assert_refused(
+        &["witness", "stray", "--n", "3", "--f", "1"],
+        "unexpected operand \"stray\" for witness (it takes no operand)",
+    );
+}
+
+#[test]
+fn missing_check_expression_is_refused() {
+    // Used to print the usage dump.
+    assert_refused(&["check", "--n", "2"], "check wants its EXPR operand");
 }
