@@ -24,8 +24,8 @@
 //! Every verdict is three-valued ([`Verdict`]): on a budget-truncated
 //! graph the frontier is open, so universal claims with no explored
 //! counterexample — and existential claims with no explored witness —
-//! answer [`Verdict::Unknown`] rather than a false positive/negative,
-//! mirroring `ioa::explore::SearchOutcome::Truncated`. Verdicts come
+//! answer [`Verdict::Unknown`] rather than a false positive/negative:
+//! an absence proves unreachability only on an exact graph. Verdicts come
 //! with id-based [`Witness`] paths (BFS-tree paths for `always` /
 //! `exists_path`, maximal-path lassos for failed eventualities) that
 //! replay through the graph they were computed on (see
@@ -991,8 +991,8 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         let ai = self.atom_index(a);
         if let Some(good) = self.min_true[ai] {
             // Minimal id = first in BFS discovery order, so the tree
-            // path is a shortest witness — identical to the legacy
-            // `search`/`path_to` answers.
+            // path is a shortest witness — the first match a BFS meets,
+            // as `ExploredGraph::path_to` would return it.
             return Evaluation {
                 verdict: Verdict::Holds,
                 witness: Some(Witness::Path(

@@ -8,7 +8,7 @@
 
 use analysis::similarity::{find_similarities, j_similar, k_similar};
 use analysis::valence::{Valence, ValenceMap};
-use ioa::rng::{RandomSource, SplitMix64};
+use ioa::rng::SplitMix64;
 use services::atomic::CanonicalAtomicObject;
 use spec::seq::BinaryConsensus;
 use spec::{ProcId, SvcId, Val};

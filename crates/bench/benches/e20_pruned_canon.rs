@@ -8,7 +8,7 @@
 //! * `full` — symmetry off, the exact reachable graph (reference);
 //! * `quotient` — the `S_n` orbit quotient, canonicalized by one stable
 //!   sort over full local-view signatures instead of an `n!`-sweep
-//!   over `Perm::all`.
+//!   over every permutation.
 //!
 //! The headline scale is `n = 5, f = 3`: 120 permutations per interned
 //! state under the old probe, a five-element sort under the new one —

@@ -11,7 +11,7 @@
 
 use bench_suite::harness::Group;
 use ioa::automaton::Automaton;
-use ioa::explore::reach;
+use ioa::explore::ExploredGraph;
 use ioa::fairness::run_round_robin;
 use services::atomic::CanonicalAtomicObject;
 use services::automaton::{ServiceAutomaton, SvcAction};
@@ -58,17 +58,18 @@ fn main() {
 
     // Exhaustive agreement scan (n = 3 keeps the space tiny).
     let (aut, s) = loaded(3, 1);
-    let r = reach(&aut, vec![s.clone()], 1_000_000);
+    let r = ExploredGraph::explore(&aut, vec![s.clone()], 1_000_000);
     eprintln!(
         "[E8] exhaustive n=3: {} states, truncated={}, all values ≤ singleton: {}",
         r.len(),
-        r.truncated(),
-        r.states()
+        r.stats().truncated(),
+        r.store()
+            .states()
             .iter()
             .all(|st| st.val.as_set().map(|w| w.len() <= 1).unwrap_or(false))
     );
     group.bench("exhaustive_agreement_n3", || {
-        black_box(reach(&aut, vec![s.clone()], 1_000_000).len())
+        black_box(ExploredGraph::explore(&aut, vec![s.clone()], 1_000_000).len())
     });
     group.finish();
 }

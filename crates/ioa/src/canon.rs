@@ -8,14 +8,14 @@
 //! automaton needs: a [`SymmetryMode`] that can be threaded through
 //! options/CLIs/environments uniformly, and a small, dependency-free
 //! [`Perm`] type (a permutation of `0..n`) with the algebra the
-//! quotient constructions use — composition, inversion, bitmask
-//! permutation, and deterministic enumeration of the full symmetric
-//! group.
+//! quotient constructions use — composition, inversion and bitmask
+//! permutation. The group is never enumerated: the signature-sort
+//! canonical form in `system::packed` (DESIGN §2.1.6) computes the one
+//! permutation it needs per state.
 //!
 //! Determinism matters here: quotient graphs must stay bit-identical
-//! across runs, so [`Perm::all`] enumerates permutations in
-//! lexicographic order of their one-line notation, and nothing in this
-//! module depends on hashing or allocation order.
+//! across runs, so nothing in this module depends on hashing or
+//! allocation order.
 
 use std::env;
 use std::sync::Once;
@@ -185,66 +185,6 @@ impl Perm {
         }
         out
     }
-
-    /// The largest `n` for which [`Perm::all`] will enumerate the
-    /// symmetric group: `8! = 40 320` permutations. Beyond that the
-    /// factorial blow-up would silently eat memory and wall-clock long
-    /// before producing anything useful, so [`Perm::all`] refuses with
-    /// a hard error instead.
-    ///
-    /// The cap bounds *only* this explicit-enumeration API (used by
-    /// tests, audits and orbit-census diagnostics). Canonicalization no
-    /// longer enumerates the group at all — the signature-sort
-    /// canonical form in `system::packed` is `O(n log n)` per state
-    /// (DESIGN §2.1.6) — so quotient exploration works at any `n` the
-    /// failed-set bitmask supports, far beyond this constant.
-    pub const MAX_ENUMERATED: usize = 8;
-
-    /// All `n!` permutations of `0..n`, in lexicographic order of
-    /// their one-line notation. The identity comes first.
-    ///
-    /// Deterministic by construction — quotient graphs built from this
-    /// enumeration are bit-identical across runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > Perm::MAX_ENUMERATED` (= 8): `9!` is already
-    /// 362 880 permutations, so enumeration past 8 is a factorial OOM
-    /// in waiting, not a slow path. This bounds only explicit group
-    /// enumeration; the canonicalization hot path sorts slot signatures
-    /// instead of probing permutations and is unaffected by the cap.
-    pub fn all(n: usize) -> Vec<Perm> {
-        assert!(
-            n <= Self::MAX_ENUMERATED,
-            "Perm::all({n}) would materialize {n}! permutations; explicit \
-             symmetric-group enumeration is capped at n = {} (8! = 40320). \
-             Canonicalization does not enumerate the group (signature-sort \
-             canonical form, DESIGN §2.1.6) — only enumeration-based \
-             diagnostics need this API, and they must stay below the cap.",
-            Self::MAX_ENUMERATED
-        );
-        let mut out = Vec::new();
-        let mut current: Vec<u32> = (0..n as u32).collect();
-        loop {
-            out.push(Perm {
-                map: current.clone().into(),
-            });
-            // Next lexicographic permutation (classic pivot/swap/reverse).
-            let Some(pivot) = current.windows(2).rposition(|w| w[0] < w[1]) else {
-                break;
-            };
-            let succ = current
-                .iter()
-                .rposition(|&x| x > current[pivot])
-                .expect("a successor exists right of a pivot");
-            current.swap(pivot, succ);
-            current[pivot + 1..].reverse();
-            if n == 0 {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -261,24 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn all_enumerates_the_symmetric_group() {
-        assert_eq!(Perm::all(0).len(), 1);
-        assert_eq!(Perm::all(1).len(), 1);
-        assert_eq!(Perm::all(3).len(), 6);
-        assert_eq!(Perm::all(4).len(), 24);
-        // Identity first, lexicographic thereafter, all distinct.
-        let perms = Perm::all(3);
-        assert!(perms[0].is_identity());
-        let set: std::collections::BTreeSet<Vec<usize>> = perms
-            .iter()
-            .map(|p| (0..3).map(|i| p.apply(i)).collect())
-            .collect();
-        assert_eq!(set.len(), 6);
-    }
-
-    #[test]
     fn inverse_and_compose_round_trip() {
-        for p in Perm::all(4) {
+        // All six elements of S₃.
+        let s3 = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for p in s3.map(Perm::from_map) {
             let inv = p.inverse();
             assert!(p.compose(&inv).is_identity());
             assert!(inv.compose(&p).is_identity());
@@ -308,22 +241,6 @@ mod tests {
     #[should_panic(expected = "not a permutation")]
     fn from_map_rejects_non_permutations() {
         let _ = Perm::from_map([0, 0, 2]);
-    }
-
-    #[test]
-    fn all_enumerates_up_to_the_cap() {
-        // 8 is the documented ceiling: 8! = 40320 permutations is the
-        // largest group the enumerator will materialize.
-        let perms = Perm::all(Perm::MAX_ENUMERATED);
-        assert_eq!(perms.len(), 40_320);
-        assert!(perms[0].is_identity());
-    }
-
-    #[test]
-    #[should_panic(expected = "capped at n = 8")]
-    fn all_refuses_factorial_blowup() {
-        // Regression: this used to silently attempt 362880 allocations.
-        let _ = Perm::all(9);
     }
 
     #[test]

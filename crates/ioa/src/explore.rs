@@ -8,7 +8,11 @@
 //! all id-keyed — each distinct state is deep-cloned and deep-hashed
 //! exactly once, at first sight, instead of once per visit/per edge as
 //! in a state-keyed BFS. Downstream passes (valence census, hook
-//! search, witness scans) index flat `Vec`s by id.
+//! search, witness scans) index flat `Vec`s by id. Reachability is
+//! [`ExploredGraph::contains`]; a first-match query is `ids().find(..)`
+//! followed by [`ExploredGraph::path_to`], which, ids following
+//! discovery order, is the match a BFS meets first, reached along a
+//! shortest path.
 //!
 //! Budget semantics: exploration is truncated by `max_states`. When the
 //! budget is hit, edges that would point at a never-enqueued state are
@@ -524,89 +528,6 @@ impl<A: Automaton> Builder<A> {
     }
 }
 
-/// The set of states reachable from a set of roots, kept as the
-/// exploration's interned arena — no state is re-cloned or re-hashed to
-/// answer membership and iteration queries.
-///
-/// This is the id-based replacement for the legacy `ReachResult`
-/// state-set view (removed): `contains` probes the arena's hash table,
-/// [`Reached::states`] hands back the arena slice in discovery order,
-/// and [`Reached::into_states`] moves the states out for the rare
-/// caller that truly needs owned values.
-#[derive(Debug, Clone)]
-pub struct Reached<S> {
-    store: StateStore<S>,
-    truncated: bool,
-}
-
-impl<S: std::hash::Hash + Eq + Clone> Reached<S> {
-    /// Number of distinct reachable states found within the budget.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether nothing was reached (only possible with no roots).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// True if the `max_states` budget stopped the search early.
-    #[must_use]
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// Whether `state` was reached within the budget.
-    #[must_use]
-    pub fn contains(&self, state: &S) -> bool {
-        self.store.get(state).is_some()
-    }
-
-    /// The reachable states in discovery order, borrowed from the arena.
-    #[must_use]
-    pub fn states(&self) -> &[S] {
-        self.store.states()
-    }
-
-    /// The underlying arena, for id-based lookups.
-    #[must_use]
-    pub fn store(&self) -> &StateStore<S> {
-        &self.store
-    }
-
-    /// Move the states out of the arena (discovery order, no cloning).
-    #[must_use]
-    pub fn into_states(self) -> Vec<S> {
-        self.store.into_states()
-    }
-}
-
-/// Breadth-first reachability from a set of roots, stopping after
-/// `max_states` distinct states, answered over the exploration's own
-/// arena — zero state clones.
-///
-/// ```
-/// use ioa::automaton::Automaton;
-/// use ioa::explore::reach;
-/// use ioa::toy::ParityCounter;
-///
-/// let c = ParityCounter::new(3);
-/// let r = reach(&c, c.initial_states(), 100);
-/// assert_eq!(r.len(), 4); // 0, 1, 2, 3
-/// assert!(r.contains(&3));
-/// assert!(!r.truncated());
-/// ```
-pub fn reach<A: Automaton>(aut: &A, roots: Vec<A::State>, max_states: usize) -> Reached<A::State> {
-    let g = ExploredGraph::explore(aut, roots, max_states);
-    let truncated = g.stats().truncated();
-    Reached {
-        store: g.into_parts().store,
-        truncated,
-    }
-}
-
 /// A path through an automaton: the `(task, action, resulting state)`
 /// steps of a finite execution fragment (Section 2.1.1), excluding the
 /// start state.
@@ -616,123 +537,6 @@ pub type Path<A> = Vec<(
     <A as Automaton>::State,
 )>;
 
-/// Outcome of a bounded breadth-first search for a target state.
-#[derive(Debug)]
-pub enum SearchOutcome<A: Automaton> {
-    /// A shortest path (in steps) from the root to a state satisfying
-    /// the predicate.
-    Found(Path<A>),
-    /// The whole reachable space was explored; no state matches. This
-    /// is a proof of unreachability.
-    Exhausted,
-    /// The state budget was exhausted first; absence is inconclusive.
-    Truncated,
-}
-
-// Manual impls: derived ones would demand `A: Clone` / `A: PartialEq`
-// even though only the associated types appear in the data.
-impl<A: Automaton> Clone for SearchOutcome<A> {
-    fn clone(&self) -> Self {
-        match self {
-            SearchOutcome::Found(p) => SearchOutcome::Found(p.clone()),
-            SearchOutcome::Exhausted => SearchOutcome::Exhausted,
-            SearchOutcome::Truncated => SearchOutcome::Truncated,
-        }
-    }
-}
-
-impl<A: Automaton> PartialEq for SearchOutcome<A> {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (SearchOutcome::Found(a), SearchOutcome::Found(b)) => a == b,
-            (SearchOutcome::Exhausted, SearchOutcome::Exhausted) => true,
-            (SearchOutcome::Truncated, SearchOutcome::Truncated) => true,
-            _ => false,
-        }
-    }
-}
-
-impl<A: Automaton> Eq for SearchOutcome<A> {}
-
-/// Bounded BFS from `root` for a state satisfying `pred`, returning a
-/// shortest path to the first match.
-///
-/// Unlike [`ExploredGraph::explore`], this stops as soon as a match is
-/// discovered, so it keeps its own early-exit BFS: an interning arena
-/// for the seen-set plus an id-indexed parent vector for path
-/// reconstruction. The predicate is checked on the root first, then on
-/// each state as it is discovered.
-pub fn search<A, P>(aut: &A, root: &A::State, pred: P, max_states: usize) -> SearchOutcome<A>
-where
-    A: Automaton,
-    P: Fn(&A::State) -> bool,
-{
-    if pred(root) {
-        return SearchOutcome::Found(Vec::new());
-    }
-    let tasks = aut.tasks();
-    let mut store: StateStore<A::State> = StateStore::new();
-    let (root_id, _) = store.intern(root);
-    let mut parent: Vec<Option<Discovery<A>>> = vec![None];
-    let mut queue: VecDeque<StateId> = VecDeque::from([root_id]);
-    let mut truncated = false;
-
-    while let Some(id) = queue.pop_front() {
-        let succs: Vec<(A::Task, A::Action, A::State)> = {
-            let s = store.resolve(id);
-            tasks
-                .iter()
-                .flat_map(|t| {
-                    aut.succ_all(t, s)
-                        .into_iter()
-                        .map(move |(a, s2)| (t.clone(), a, s2))
-                })
-                .collect()
-        };
-        for (t, a, s2) in succs {
-            match store.try_intern(&s2, max_states) {
-                Some((id2, true)) => {
-                    parent.push(Some((id, t, a)));
-                    if pred(&s2) {
-                        // Walk the BFS tree back to the root.
-                        let mut path = Vec::new();
-                        let mut cur = id2;
-                        while let Some((prev, t, a)) = &parent[cur.index()] {
-                            path.push((t.clone(), a.clone(), store.resolve(cur).clone()));
-                            cur = *prev;
-                        }
-                        path.reverse();
-                        return SearchOutcome::Found(path);
-                    }
-                    queue.push_back(id2);
-                }
-                Some((_, false)) => {}
-                None => truncated = true,
-            }
-        }
-    }
-    if truncated {
-        SearchOutcome::Truncated
-    } else {
-        SearchOutcome::Exhausted
-    }
-}
-
-/// Build the interned reachable graph from `roots` — the transition
-/// structure of `G(C)` (Section 3.3) that the valence census and hook
-/// search walk.
-///
-/// Under truncation, edges into never-admitted states are dropped and
-/// counted ([`Truncation::StateBudget`]'s `dropped_edges`), so the edge
-/// lists only ever reference states present in the graph.
-pub fn build_graph<A: Automaton>(
-    aut: &A,
-    roots: Vec<A::State>,
-    max_states: usize,
-) -> ExploredGraph<A> {
-    ExploredGraph::explore(aut, roots, max_states)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,55 +545,62 @@ mod tests {
     #[test]
     fn reachability_reaches_the_bound() {
         let c = ParityCounter::new(5);
-        let r = reach(&c, c.initial_states(), 100);
-        assert_eq!(r.len(), 6);
-        assert!(!r.truncated());
+        let g = ExploredGraph::explore(&c, c.initial_states(), 100);
+        assert_eq!(g.len(), 6);
+        assert!(!g.stats().truncated());
     }
 
     #[test]
     fn truncation_is_reported() {
         let c = ParityCounter::new(100);
-        let r = reach(&c, c.initial_states(), 10);
-        assert_eq!(r.len(), 10);
-        assert!(r.truncated());
+        let g = ExploredGraph::explore(&c, c.initial_states(), 10);
+        assert_eq!(g.len(), 10);
+        assert!(g.stats().truncated());
     }
 
     #[test]
     fn search_finds_shortest_path() {
+        // Ids follow discovery order, so the first matching id is the
+        // first match a BFS meets, reached along the BFS tree.
         let c = ParityCounter::new(10);
-        match search(&c, &0, |s| *s == 3, 100) {
-            SearchOutcome::Found(path) => {
-                assert_eq!(path.len(), 3);
-                let tasks: Vec<ParityTask> = path.iter().map(|(t, _, _)| *t).collect();
-                assert_eq!(
-                    tasks,
-                    vec![ParityTask::Even, ParityTask::Odd, ParityTask::Even]
-                );
-                assert_eq!(path.last().unwrap().2, 3);
-            }
-            other => panic!("expected Found, got {other:?}"),
-        }
+        let g = ExploredGraph::explore(&c, vec![0], 100);
+        let id = g
+            .ids()
+            .find(|&id| *g.resolve(id) == 3)
+            .expect("3 is reachable");
+        let path = g.path_to(id);
+        assert_eq!(path.len(), 3);
+        let tasks: Vec<ParityTask> = path.iter().map(|(t, _, _)| *t).collect();
+        assert_eq!(
+            tasks,
+            vec![ParityTask::Even, ParityTask::Odd, ParityTask::Even]
+        );
+        assert_eq!(path.last().unwrap().2, 3);
     }
 
     #[test]
     fn search_exhausted_is_a_proof() {
+        // An exact (untruncated) graph without the state proves it
+        // unreachable.
         let c = ParityCounter::new(5);
-        assert_eq!(search(&c, &0, |s| *s == 42, 100), SearchOutcome::Exhausted);
+        let g = ExploredGraph::explore(&c, vec![0], 100);
+        assert!(!g.stats().truncated());
+        assert!(!g.contains(&42));
     }
 
     #[test]
     fn search_at_root() {
         let c = ParityCounter::new(5);
-        assert_eq!(
-            search(&c, &0, |s| *s == 0, 100),
-            SearchOutcome::Found(Vec::new())
-        );
+        let g = ExploredGraph::explore(&c, vec![0], 100);
+        let id = g.ids().find(|&id| *g.resolve(id) == 0).expect("the root");
+        assert_eq!(id, g.roots()[0]);
+        assert!(g.path_to(id).is_empty());
     }
 
     #[test]
     fn graph_has_one_edge_per_applicable_task() {
         let c = ParityCounter::new(2);
-        let g = build_graph(&c, c.initial_states(), 100);
+        let g = ExploredGraph::explore(&c, c.initial_states(), 100);
         assert_eq!(g.len(), 3);
         assert!(!g.stats().truncated());
         let id0 = g.id_of(&0).expect("root interned");
@@ -802,7 +613,7 @@ mod tests {
     #[test]
     fn ids_follow_bfs_discovery_order() {
         let c = ParityCounter::new(3);
-        let g = build_graph(&c, c.initial_states(), 100);
+        let g = ExploredGraph::explore(&c, c.initial_states(), 100);
         for (i, id) in g.ids().enumerate() {
             assert_eq!(id.index(), i);
             assert_eq!(*g.resolve(id), i as i64);
@@ -821,7 +632,7 @@ mod tests {
         // edges to states that were never given a node entry. The
         // chosen semantics: drop such edges and count them.
         let c = ParityCounter::new(1_000);
-        let g = build_graph(&c, c.initial_states(), 10);
+        let g = ExploredGraph::explore(&c, c.initial_states(), 10);
         assert_eq!(g.len(), 10);
         match g.stats().truncation {
             Truncation::StateBudget {

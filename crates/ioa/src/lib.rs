@@ -13,10 +13,11 @@
 //!   paper's Section 3.1 determinism assumptions.
 //! * [`execution`] — executions, steps and traces (Section 2.1.1),
 //!   including extension and concatenation of execution fragments.
-//! * [`explore`] — breadth-first reachability, predicate search and
-//!   graph materialization over task-generated transitions; this is what
-//!   makes valence ("does any extension decide 0?") decidable for the
-//!   finite systems the `analysis` crate studies.
+//! * [`explore`] — the one breadth-first explorer: it interns the
+//!   reachable states and materializes the graph of task-generated
+//!   transitions, with BFS-tree shortest paths to every state; this is
+//!   what makes valence ("does any extension decide 0?") decidable for
+//!   the finite systems the `analysis` crate studies.
 //! * [`fixpoint`] — bit-lane backward fixpoints (union / universal)
 //!   over reverse-CSR adjacency: the shared engine behind the valence
 //!   map's decided sets and the property evaluator's `eventually`
@@ -25,9 +26,6 @@
 //!   round-robin scheduler, whose infinite runs are fair by
 //!   construction and whose finite-state lassos witness fair
 //!   nontermination.
-//! * [`compose`] — binary composition of I/O automata with action
-//!   synchronization and hiding (Section 2.2.3 uses the n-ary analogue,
-//!   implemented natively by the `system` crate).
 //! * [`refine`] — finite-trace inclusion ("A implements B",
 //!   Section 2.1.1, clause 2) via on-the-fly subset construction.
 //! * [`store`] — the dense state-interning arena ([`store::StateStore`],
@@ -49,11 +47,11 @@
 //! ```
 //! use ioa::automaton::{ActionKind, Automaton};
 //! use ioa::toy::Channel;
-//! use ioa::explore::reach;
+//! use ioa::explore::ExploredGraph;
 //!
 //! let ch = Channel::new(&[1, 2]);
-//! let r = reach(&ch, ch.initial_states(), 100);
-//! assert!(!r.truncated());
+//! let g = ExploredGraph::explore(&ch, ch.initial_states(), 100);
+//! assert!(!g.stats().truncated());
 //! # let _ = ActionKind::Input;
 //! ```
 
@@ -63,13 +61,11 @@
 
 pub mod automaton;
 pub mod canon;
-pub mod compose;
 pub mod csr;
 pub mod execution;
 pub mod explore;
 pub mod fairness;
 pub mod fixpoint;
-pub mod nary;
 pub mod refine;
 pub mod rng;
 pub mod store;

@@ -14,60 +14,6 @@
 //! keyed by seed, so the same seed must yield the same schedule on every
 //! platform and every run. SplitMix64 guarantees that; `StdRng` does not
 //! (its algorithm is explicitly unstable across `rand` versions).
-//!
-//! External generators can still be plugged in through the
-//! [`RandomSource`] trait (see the `ext-rand` cargo feature on the
-//! `system` crate, which exposes a generic `run_random_with` driver).
-
-/// A deterministic random-source abstraction.
-///
-/// Everything the schedule drivers need is a stream of `u64`s; the
-/// provided methods derive bounded draws from it. Implemented by
-/// [`SplitMix64`] in-tree; downstream users may implement it for any
-/// external generator (e.g. `rand::RngCore` adapters behind the
-/// `ext-rand` feature of the `system` crate).
-pub trait RandomSource {
-    /// Produce the next 64 uniformly distributed bits.
-    fn next_u64(&mut self) -> u64;
-
-    /// Draw a uniformly distributed index in `0..n`.
-    ///
-    /// Uses rejection sampling from the top bits so the distribution is
-    /// exactly uniform (no modulo bias).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    fn gen_range(&mut self, n: usize) -> usize {
-        assert!(n > 0, "gen_range requires a non-empty range");
-        let n = n as u64;
-        // Rejection sampling: draw from the smallest power-of-two range
-        // covering `n` and retry on overshoot. Expected < 2 draws.
-        let mask = n.next_power_of_two().wrapping_sub(1);
-        loop {
-            let x = self.next_u64() & mask;
-            if x < n {
-                return x as usize;
-            }
-        }
-    }
-
-    /// Draw a uniformly distributed boolean.
-    fn gen_bool(&mut self) -> bool {
-        // Use the high bit; SplitMix64's low bits are fine too, but the
-        // high bit keeps this correct for weaker implementors.
-        self.next_u64() >> 63 == 1
-    }
-
-    /// Draw a uniformly distributed `i64` in `lo..hi`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    fn gen_i64_range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo < hi, "gen_i64_range requires lo < hi");
-        let span = hi.wrapping_sub(lo) as u64;
-        lo.wrapping_add(self.gen_range(span as usize) as i64)
-    }
-}
 
 /// Deterministic SplitMix64 generator (Steele, Lea & Flood 2014).
 ///
@@ -99,6 +45,42 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// Draw a uniformly distributed index in `0..n`.
+    ///
+    /// Uses rejection sampling from the top bits so the distribution is
+    /// exactly uniform (no modulo bias).
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn gen_range(&mut self, n: usize) -> usize {
+        assert!(n > 0, "gen_range requires a non-empty range");
+        let n = n as u64;
+        // Rejection sampling: draw from the smallest power-of-two range
+        // covering `n` and retry on overshoot. Expected < 2 draws.
+        let mask = n.next_power_of_two().wrapping_sub(1);
+        loop {
+            let x = self.next_u64() & mask;
+            if x < n {
+                return x as usize;
+            }
+        }
+    }
+
+    /// Draw a uniformly distributed boolean.
+    pub fn gen_bool(&mut self) -> bool {
+        self.next_u64() >> 63 == 1
+    }
+
+    /// Draw a uniformly distributed `i64` in `lo..hi`.
+    ///
+    /// # Panics
+    /// Panics if `lo >= hi`.
+    pub fn gen_i64_range(&mut self, lo: i64, hi: i64) -> i64 {
+        assert!(lo < hi, "gen_i64_range requires lo < hi");
+        let span = hi.wrapping_sub(lo) as u64;
+        lo.wrapping_add(self.gen_range(span as usize) as i64)
+    }
+
     /// Derive a fresh, statistically independent child seed. Used to
     /// fan one experiment seed out into per-trial seeds (e.g. the
     /// randomized sweeps of `analysis::resilience`).
@@ -110,7 +92,7 @@ impl SplitMix64 {
     /// Fisher–Yates shuffle of a slice, consuming draws from `self`.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
-            let j = RandomSource::gen_range(self, i + 1);
+            let j = self.gen_range(i + 1);
             xs.swap(i, j);
         }
     }
@@ -120,14 +102,8 @@ impl SplitMix64 {
         if xs.is_empty() {
             None
         } else {
-            Some(&xs[RandomSource::gen_range(self, xs.len())])
+            Some(&xs[self.gen_range(xs.len())])
         }
-    }
-}
-
-impl RandomSource for SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        SplitMix64::next_u64(self)
     }
 }
 

@@ -1,5 +1,4 @@
-//! Small example automata used in tests, docs and the composition
-//! machinery's own test-suite.
+//! Small example automata used in the kernel's tests and docs.
 
 use crate::automaton::{ActionKind, Automaton};
 

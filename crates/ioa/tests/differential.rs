@@ -10,8 +10,8 @@
 //! seed.
 
 use ioa::automaton::{ActionKind, Automaton};
-use ioa::explore::{build_graph, reach, search, SearchOutcome, Truncation};
-use ioa::rng::{RandomSource, SplitMix64};
+use ioa::explore::{ExploredGraph, Truncation};
+use ioa::rng::SplitMix64;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A branching table automaton: `table[t][s]` lists the successors of
@@ -132,19 +132,23 @@ fn reach_matches_the_naive_reference() {
         let aut = random_branching(&mut g, 10, 3);
         // Ample budget: exact equality, no truncation.
         let (naive, naive_trunc) = naive_reachable(&aut, vec![0], 10_000);
-        let ours = reach(&aut, vec![0], 10_000);
+        let ours = ExploredGraph::explore(&aut, vec![0], 10_000);
         assert_eq!(ours.len(), naive.len(), "{aut:?}");
         assert!(naive.iter().all(|s| ours.contains(s)), "{aut:?}");
-        assert_eq!(ours.truncated(), naive_trunc);
-        assert!(!ours.truncated());
+        assert_eq!(ours.stats().truncated(), naive_trunc);
+        assert!(!ours.stats().truncated());
         // Tight budget: both keep exactly the first `cap` states in
         // BFS discovery order, so the kept sets also agree.
         let cap = 1 + g.gen_range(naive.len());
         let (naive_t, naive_t_trunc) = naive_reachable(&aut, vec![0], cap);
-        let ours_t = reach(&aut, vec![0], cap);
-        let kept: HashSet<usize> = ours_t.states().iter().copied().collect();
+        let ours_t = ExploredGraph::explore(&aut, vec![0], cap);
+        let kept: HashSet<usize> = ours_t.store().states().iter().copied().collect();
         assert_eq!(kept, naive_t, "cap={cap} {aut:?}");
-        assert_eq!(ours_t.truncated(), naive_t_trunc, "cap={cap} {aut:?}");
+        assert_eq!(
+            ours_t.stats().truncated(),
+            naive_t_trunc,
+            "cap={cap} {aut:?}"
+        );
     }
 }
 
@@ -155,28 +159,31 @@ fn search_matches_the_naive_shortest_distance() {
         let aut = random_branching(&mut g, 10, 3);
         let target = g.gen_range(10);
         let naive = naive_distance(&aut, &0, |s| *s == target);
-        match search(&aut, &0, |s| *s == target, 10_000) {
-            SearchOutcome::Found(path) => {
+        let graph = ExploredGraph::explore(&aut, vec![0], 10_000);
+        assert!(!graph.stats().truncated(), "budget was ample");
+        // Ids follow discovery order: the first matching id is the
+        // first match the BFS met, and its tree path is a shortest one.
+        let first = graph.ids().find(|&id| *graph.resolve(id) == target);
+        match first {
+            Some(id) => {
+                let path = graph.path_to(id);
                 assert_eq!(Some(path.len()), naive, "{aut:?} target={target}");
                 if let Some((_, _, last)) = path.last() {
                     assert_eq!(*last, target);
                 }
             }
-            SearchOutcome::Exhausted => {
-                assert_eq!(naive, None, "{aut:?} target={target}")
-            }
-            SearchOutcome::Truncated => panic!("budget was ample"),
+            None => assert_eq!(naive, None, "{aut:?} target={target}"),
         }
     }
 }
 
 #[test]
-fn build_graph_matches_the_naive_transition_structure() {
+fn explored_graph_matches_the_naive_transition_structure() {
     let mut g = SplitMix64::seed_from_u64(0xd1ff_0003);
     for _ in 0..48 {
         let aut = random_branching(&mut g, 10, 3);
         let (naive, _) = naive_reachable(&aut, vec![0], 10_000);
-        let graph = build_graph(&aut, vec![0], 10_000);
+        let graph = ExploredGraph::explore(&aut, vec![0], 10_000);
         assert!(!graph.stats().truncated());
         // Same node set…
         let node_set: HashSet<usize> = graph.store().states().iter().copied().collect();
@@ -212,7 +219,7 @@ fn truncated_graphs_account_for_every_discovered_transition() {
             continue;
         }
         let cap = 1 + g.gen_range(full.len() - 1);
-        let graph = build_graph(&aut, vec![0], cap);
+        let graph = ExploredGraph::explore(&aut, vec![0], cap);
         // Every kept state is expanded, so each of its transitions is
         // either a retained edge (target admitted) or a counted drop.
         let kept: HashSet<usize> = graph.store().states().iter().copied().collect();

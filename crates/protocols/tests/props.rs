@@ -5,7 +5,7 @@
 //! [`ioa::rng::SplitMix64`] generator so the suite runs hermetically
 //! (no registry dependency) and every case is replayable from its seed.
 
-use ioa::rng::{RandomSource, SplitMix64};
+use ioa::rng::SplitMix64;
 use protocols::set_boost::{build, SetBoostParams};
 use protocols::{doomed, fd_boost};
 use spec::{ProcId, Val};

@@ -168,7 +168,7 @@ impl Automaton for ServiceAutomaton {
 mod tests {
     use super::*;
     use crate::atomic::CanonicalAtomicObject;
-    use ioa::explore::reach;
+    use ioa::explore::ExploredGraph;
     use ioa::fairness::{run_round_robin, RunOutcome};
     use spec::seq::BinaryConsensus;
     use std::sync::Arc;
@@ -257,8 +257,8 @@ mod tests {
                 )
                 .unwrap();
         }
-        let reach = reach(&aut, vec![s], 10_000);
-        assert!(!reach.truncated());
+        let reach = ExploredGraph::explore(&aut, vec![s], 10_000);
+        assert!(!reach.stats().truncated());
         assert!(reach.len() > 1);
     }
 }

@@ -6,7 +6,7 @@
 //! [`ioa::rng::SplitMix64`] generator so the suite runs hermetically
 //! (no registry dependency) and every case is replayable from its seed.
 
-use ioa::rng::{RandomSource, SplitMix64};
+use ioa::rng::SplitMix64;
 use spec::seq::{
     BinaryConsensus, CompareAndSwap, FetchAndAdd, FifoQueue, KSetConsensus, MultiValueConsensus,
     ReadWrite, TestAndSet,

@@ -5,9 +5,8 @@
 //!
 //! [`CompleteSystem`] implements [`ioa::Automaton`], so the kernel's
 //! exploration, fairness and refinement machinery operates on it
-//! directly. The composition is built natively (rather than by folding
-//! `ioa::compose::Compose`) so that system states stay flat and
-//! hashing stays cheap — the semantics is the standard n-ary I/O
+//! directly. The composition is built natively, as one flat state, so
+//! that hashing stays cheap — the semantics is the standard n-ary I/O
 //! automaton composition.
 
 use crate::action::{Action, Participant, Task};

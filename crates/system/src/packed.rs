@@ -250,8 +250,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// set would make `π` move an endpoint out of `J`). The
     /// signature-sort canonical form never enumerates the group, so the
     /// only size bound is the packed representation's own 32-process
-    /// failed-bitmask limit — `n` far beyond [`Perm::MAX_ENUMERATED`]
-    /// canonicalizes fine.
+    /// failed-bitmask limit.
     #[must_use]
     pub fn symmetric_system(sys: &CompleteSystem<P>) -> bool {
         let n = sys.process_count();
@@ -1300,6 +1299,34 @@ mod tests {
         (s, ps)
     }
 
+    /// The six elements of S₃, identity first.
+    fn s3() -> Vec<Perm> {
+        [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ]
+        .into_iter()
+        .map(Perm::from_map)
+        .collect()
+    }
+
+    /// The transposition of `a` and `b` in `S_n`.
+    fn transposition(n: usize, a: usize, b: usize) -> Perm {
+        Perm::from_map((0..n).map(|j| {
+            if j == a {
+                b
+            } else if j == b {
+                a
+            } else {
+                j
+            }
+        }))
+    }
+
     #[test]
     fn encode_decode_roundtrips() {
         let sys = direct_system(3, 1);
@@ -1425,7 +1452,7 @@ mod tests {
         let sys = direct_system(3, 1);
         let packed = PackedSystem::with_symmetry(&sys, SymmetryMode::Full);
         let group = packed.symmetry_group().expect("active");
-        let perms = Perm::all(3);
+        let perms = s3();
         // A state with asymmetric content: distinct inputs, one
         // failure, and a pending invocation in the object.
         let mut s = sys.single_initial_state();
@@ -1487,7 +1514,7 @@ mod tests {
         // canonicalizing the successors yields the same successor set.
         let sys = direct_system(3, 1);
         let packed = PackedSystem::with_symmetry(&sys, SymmetryMode::Full);
-        let perms = Perm::all(3);
+        let perms = s3();
         let mut s = sys.single_initial_state();
         s = sys.init(&s, ProcId(0), Val::Int(1));
         s = sys.init(&s, ProcId(1), Val::Int(0));
@@ -1544,10 +1571,11 @@ mod tests {
             .into_iter()
             .next()
             .expect("invoke step");
-        // An orbit member that is not its own representative.
-        let moved = Perm::all(4)
-            .iter()
-            .map(|p| packed.encode(&permute_system_state(p, &s)))
+        // An orbit member that is not its own representative: some
+        // transposition moves P3's pending invocation to another slot.
+        let moved = (0..3)
+            .map(|i| transposition(4, i, 3))
+            .map(|p| packed.encode(&permute_system_state(&p, &s)))
             .find(|ps| packed.canonical_with_sym(ps).0 != *ps)
             .expect("the orbit has more than one member");
         let memo = packed.symmetry.as_ref().expect("active");

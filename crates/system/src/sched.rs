@@ -15,14 +15,18 @@
 //! * [`run_random`] — uniformly random applicable-task selection with a
 //!   seeded RNG, for statistical sweeps on systems too large to
 //!   explore exhaustively.
+//!
+//! An exact task script (the paper's "task sequences specify
+//! executions", Section 3.1) needs no driver: [`Execution::replay`]
+//! applies each task's deterministic step and skips inapplicable ones.
 
-use crate::action::{Action, Task};
+use crate::action::Action;
 use crate::build::{CompleteSystem, SystemState};
 use crate::consensus::InputAssignment;
 use crate::process::ProcessAutomaton;
 use ioa::automaton::Automaton;
 use ioa::execution::{Execution, Step};
-use ioa::rng::{RandomSource, SplitMix64};
+use ioa::rng::SplitMix64;
 use std::collections::HashMap;
 
 /// Applies the `init(v)_i` inputs of `assignment` (in `ProcId` order)
@@ -197,71 +201,6 @@ where
     }
 }
 
-/// Drives the system along an explicit task script (the paper's "task
-/// sequences specify executions", Section 3.1): each task's
-/// policy-chosen branch is applied if applicable, inapplicable tasks
-/// are skipped, and inputs in the script are applied directly.
-///
-/// This is the scheduler used to hand-drive exact interleavings in
-/// tests and to replay the γ′ fragments of the Lemma 6/7 arguments.
-pub fn run_script<A>(
-    sys: &A,
-    start: A::State,
-    policy: BranchPolicy,
-    script: &[ScriptStep],
-) -> FairRun<A>
-where
-    A: Automaton<Action = Action, Task = Task>,
-{
-    let mut exec = Execution::new(start);
-    for item in script {
-        match item {
-            ScriptStep::Do(t) => {
-                let branches = sys.succ_all(t, exec.last_state());
-                if let Some((action, state)) = policy.pick(branches) {
-                    exec.push(Step {
-                        task: Some(t.clone()),
-                        action,
-                        state,
-                    });
-                }
-            }
-            ScriptStep::Input(a) => {
-                exec.apply_input(sys, a.clone());
-            }
-        }
-    }
-    FairRun {
-        exec,
-        outcome: FairOutcome::Stopped,
-    }
-}
-
-/// Adapter turning any `FnMut() -> u64` into a [`RandomSource`].
-///
-/// This is the `ext-rand` seam: external generators (e.g. the `rand`
-/// crate's `RngCore::next_u64`) plug into [`run_random_with`] through a
-/// closure, without the workspace itself taking a registry dependency —
-/// the build stays hermetic (`cargo build --offline`).
-#[cfg(feature = "ext-rand")]
-pub struct ExternalRng<F: FnMut() -> u64>(pub F);
-
-#[cfg(feature = "ext-rand")]
-impl<F: FnMut() -> u64> RandomSource for ExternalRng<F> {
-    fn next_u64(&mut self) -> u64 {
-        (self.0)()
-    }
-}
-
-/// One step of a [`run_script`] schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScriptStep {
-    /// Offer a task (skipped when inapplicable).
-    Do(Task),
-    /// Apply an environment input (`init` or `fail`).
-    Input(Action),
-}
-
 /// Drives the system by uniformly random choice among applicable tasks
 /// and among each task's branches, injecting the given failures.
 /// Deterministic for a fixed `seed`: the schedule is drawn from the
@@ -280,35 +219,7 @@ where
     A: Automaton<Action = Action>,
     F: Fn(&A::State) -> bool,
 {
-    run_random_with(
-        sys,
-        start,
-        SplitMix64::seed_from_u64(seed),
-        failures,
-        max_steps,
-        stop,
-    )
-}
-
-/// [`run_random`] generalized over the randomness source.
-///
-/// Always available in-tree (the `ext-rand` cargo feature only signals
-/// that a build intends to plug in an external generator); any
-/// implementor of [`ioa::rng::RandomSource`] — e.g. an adapter over a
-/// `rand::RngCore` — can drive the schedule.
-pub fn run_random_with<A, R, F>(
-    sys: &A,
-    start: A::State,
-    mut rng: R,
-    failures: &[(usize, spec::ProcId)],
-    max_steps: usize,
-    stop: F,
-) -> FairRun<A>
-where
-    A: Automaton<Action = Action>,
-    R: RandomSource,
-    F: Fn(&A::State) -> bool,
-{
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let tasks = sys.tasks();
     let mut exec = Execution::new(start);
     let mut pending: Vec<(usize, spec::ProcId)> = failures.to_vec();
@@ -382,6 +293,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Task;
     use crate::consensus::{all_obliged_decided, check_safety};
     use crate::process::direct::DirectConsensus;
     use services::atomic::CanonicalAtomicObject;
@@ -465,44 +377,23 @@ mod tests {
 
     #[test]
     fn scripted_runs_follow_the_script_exactly() {
-        use crate::action::Task;
         let sys = direct(2, 1);
         let a = InputAssignment::monotone(2, 1);
-        let s = initialize(&sys, &a);
-        let script = vec![
-            ScriptStep::Do(Task::Proc(ProcId(0))),
-            ScriptStep::Do(Task::Perform(spec::SvcId(0), ProcId(0))),
-            ScriptStep::Do(Task::Output(spec::SvcId(0), ProcId(0))),
-            ScriptStep::Do(Task::Proc(ProcId(0))),
+        let mut exec = Execution::new(initialize(&sys, &a));
+        let script = [
+            Task::Proc(ProcId(0)),
+            Task::Perform(SvcId(0), ProcId(0)),
+            Task::Output(SvcId(0), ProcId(0)),
+            Task::Proc(ProcId(0)),
         ];
-        let run = run_script(&sys, s, BranchPolicy::Canonical, &script);
-        assert_eq!(run.exec.len(), 4);
+        exec.replay(&sys, &script);
+        assert_eq!(exec.len(), 4);
         // P0 (input 1) raced alone: it decided its own input.
         assert_eq!(
-            sys.decision(run.exec.last_state(), ProcId(0)),
+            sys.decision(exec.last_state(), ProcId(0)),
             Some(Val::Int(1))
         );
-        assert_eq!(sys.decision(run.exec.last_state(), ProcId(1)), None);
-    }
-
-    #[test]
-    fn scripted_inputs_and_inapplicable_tasks() {
-        use crate::action::{Action, Task};
-        let sys = direct(2, 1);
-        let script = vec![
-            // Inapplicable perform (no invocation yet): skipped.
-            ScriptStep::Do(Task::Perform(spec::SvcId(0), ProcId(0))),
-            ScriptStep::Input(Action::Init(ProcId(0), Val::Int(0))),
-            ScriptStep::Input(Action::Fail(ProcId(1))),
-        ];
-        let run = run_script(
-            &sys,
-            sys.single_initial_state(),
-            BranchPolicy::Canonical,
-            &script,
-        );
-        assert_eq!(run.exec.len(), 2, "only the two inputs produced steps");
-        assert!(run.exec.last_state().failed.contains(&ProcId(1)));
+        assert_eq!(sys.decision(exec.last_state(), ProcId(1)), None);
     }
 
     /// A single-task chain `n -> n-1 -> … -> 0` that quiesces at 0:

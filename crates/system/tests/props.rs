@@ -7,7 +7,7 @@
 //! (no registry dependency) and every case is replayable from its seed.
 
 use ioa::automaton::Automaton;
-use ioa::rng::{RandomSource, SplitMix64};
+use ioa::rng::SplitMix64;
 use services::atomic::CanonicalAtomicObject;
 use spec::seq::BinaryConsensus;
 use spec::{ProcId, SvcId, Val};

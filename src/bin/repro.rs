@@ -41,19 +41,25 @@
 //!
 //! Each subcommand takes only the operands and flags listed above:
 //! `check` exactly one EXPR, every other subcommand no operand, and
-//! each flag at most once and with a value. Anything else (a stray or
-//! missing operand, a misspelt or foreign flag, a repeat, a trailing
-//! flag without its value) exits 2 with one `error:` line naming the
-//! operand or flag, before anything is built.
+//! each flag at most once and with a value. `certify` narrows that per
+//! construction: set-boost reads `--n` and `--k`, fd-boost only `--n`,
+//! tas neither. Anything else (a stray or missing operand, a misspelt
+//! or foreign flag, a flag the chosen construction does not read, a
+//! repeat, a trailing flag without its value) exits 2 with one
+//! `error:` line naming the operand or flag, before anything is built
+//! or printed.
 //!
 //! Numeric flags are checked against what the library accepts before
 //! anything is built: `--n` lies in `1..=32` (the packed state layout's
-//! limit), raised to 2 where a construction needs two processes;
-//! `witness` needs `f + 1 < n`, because its refutation fails `f + 1`
-//! processes and needs a survivor; `certify --construction set-boost`
-//! needs `1 ≤ k < n` with `k | n`. A bad value exits 2 with one
-//! `error:` line, as does a `check` atom `proc_decided(i)` or
-//! `failed(i)` whose process index lies outside `0..n`.
+//! limit), raised to 2 where a construction needs two processes, and is
+//! exactly 2 for `witness --class tas`; `witness` needs `f + 1 < n`,
+//! because its refutation fails `f + 1` processes and needs a survivor;
+//! `check` needs `--ones` at most `--n`; `certify --construction
+//! set-boost` needs `1 ≤ k < n` with `k | n`. A bad value exits 2 with
+//! one `error:` line, as does a `check` atom `proc_decided(i)` or
+//! `failed(i)` whose process index lies outside `0..n`. An unknown
+//! `--class` or `--construction` exits 2 with the usage dump, before
+//! anything reaches stdout.
 //!
 //! `--symmetry full` explores the process-permutation quotient of
 //! `G(C)` (orbit canonicalization) — same theorem verdicts and census
@@ -81,7 +87,7 @@ use analysis::init::{find_bivalent_init_sym, InitOutcome};
 use analysis::prop::{evaluate_batch, parse_props, system_vocab, SystemGraph, Verdict, Witness};
 use analysis::resilience::{all_assignments, all_binary_assignments, certify, CertifyConfig};
 use analysis::valence::ValenceMap;
-use analysis::witness::{find_witness, Bounds};
+use analysis::witness::{find_witness, Bounds, WitnessError};
 use ioa::canon::SymmetryMode;
 use protocols::set_boost::SetBoostParams;
 use resilience_boosting::prelude::*;
@@ -222,6 +228,28 @@ impl Args {
         n
     }
 
+    /// Refuses every flag but `--construction` and `reads`, the flags
+    /// `construction` reads: one `error:` line, exit 2.
+    fn refuse_unread(&self, construction: &str, reads: &[&str]) {
+        let unread = self
+            .flags
+            .iter()
+            .find(|(k, _)| k != "construction" && !reads.contains(&k.as_str()));
+        if let Some((key, _)) = unread {
+            let takes = match reads {
+                [] => "no other flag".to_string(),
+                keys => keys
+                    .iter()
+                    .map(|k| format!("--{k}"))
+                    .collect::<Vec<_>>()
+                    .join(", "),
+            };
+            fail(&format!(
+                "--{key} does not apply to --construction {construction} (it takes {takes})"
+            ));
+        }
+    }
+
     /// The symmetry mode (`--symmetry full|off`, default from
     /// the `SYMMETRY` environment variable).
     fn symmetry(&self) -> SymmetryMode {
@@ -282,37 +310,36 @@ fn witness_cmd(args: &Args) -> ExitCode {
     }
     let class = args.get("class").unwrap_or("atomic");
     let bounds = Bounds::default().with_symmetry(args.symmetry());
+    // The class is checked before the candidate line reaches stdout.
+    let find: fn(usize, usize, Bounds) -> Result<String, WitnessError> = match class {
+        "atomic" => |n, f, bounds| {
+            let sys = protocols::doomed::doomed_atomic(n, f);
+            find_witness(&sys, f, bounds).map(|w| w.headline())
+        },
+        "registers" => |n, f, bounds| {
+            let sys = protocols::doomed::doomed_atomic_with_registers(n, f);
+            find_witness(&sys, f, bounds).map(|w| w.headline())
+        },
+        "oblivious" => |n, f, bounds| {
+            let sys = protocols::doomed::doomed_oblivious(n, f);
+            find_witness(&sys, f, bounds).map(|w| w.headline())
+        },
+        "general" => |n, f, bounds| {
+            let sys = protocols::doomed::doomed_general(n, f);
+            find_witness(&sys, f, bounds).map(|w| w.headline())
+        },
+        "tas" if n != 2 => fail(&format!("--n must be 2 for --class tas, got {n}")),
+        "tas" => |_, f, bounds| {
+            let sys = protocols::tas_consensus::build(f);
+            find_witness(&sys, f, bounds).map(|w| w.headline())
+        },
+        other => die(&format!("unknown class {other:?}")),
+    };
     println!(
         "candidate: class={class}, n={n}, f={f} — claiming ({})-resilient consensus",
         f + 1
     );
-    let headline = match class {
-        "atomic" => {
-            let sys = protocols::doomed::doomed_atomic(n, f);
-            find_witness(&sys, f, bounds).map(|w| w.headline())
-        }
-        "registers" => {
-            let sys = protocols::doomed::doomed_atomic_with_registers(n, f);
-            find_witness(&sys, f, bounds).map(|w| w.headline())
-        }
-        "oblivious" => {
-            let sys = protocols::doomed::doomed_oblivious(n, f);
-            find_witness(&sys, f, bounds).map(|w| w.headline())
-        }
-        "general" => {
-            let sys = protocols::doomed::doomed_general(n, f);
-            find_witness(&sys, f, bounds).map(|w| w.headline())
-        }
-        "tas" => {
-            if n != 2 {
-                die("--class tas only supports --n 2");
-            }
-            let sys = protocols::tas_consensus::build(f);
-            find_witness(&sys, f, bounds).map(|w| w.headline())
-        }
-        other => die(&format!("unknown class {other:?}")),
-    };
-    match headline {
+    match find(n, f, bounds) {
         Ok(h) => {
             println!("witness: {h}");
             ExitCode::SUCCESS
@@ -328,6 +355,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
     let construction = args.get("construction").unwrap_or("set-boost");
     let report = match construction {
         "set-boost" => {
+            args.refuse_unread(construction, &["n", "k"]);
             let n = args.n(4, 1);
             let k = args.usize_or("k", 2);
             let params = SetBoostParams { n, k, k_prime: 1 };
@@ -347,6 +375,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
             certify(&sys, &cfg)
         }
         "fd-boost" => {
+            args.refuse_unread(construction, &["n"]);
             let n = args.n(3, 2);
             let sys = protocols::fd_boost::build(n);
             let mut cfg = CertifyConfig::new(1, n - 1, all_binary_assignments(n));
@@ -355,6 +384,7 @@ fn certify_cmd(args: &Args) -> ExitCode {
             certify(&sys, &cfg)
         }
         "tas" => {
+            args.refuse_unread(construction, &[]);
             let sys = protocols::tas_consensus::build(1);
             let mut cfg = CertifyConfig::new(1, 1, all_binary_assignments(2));
             cfg.max_steps = 100_000;
@@ -690,7 +720,7 @@ fn check_cmd(args: &Args) -> ExitCode {
     let f = args.usize_or("f", 0);
     let ones = args.usize_or("ones", 1);
     if ones > n {
-        die("--ones must be at most --n");
+        fail(&format!("--ones must be at most --n ({n}), got {ones}"));
     }
     let symmetry = args.symmetry();
     match class {

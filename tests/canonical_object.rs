@@ -3,7 +3,7 @@
 //! validity and modified-termination conditions of Section 2.2.4.
 
 use ioa::automaton::Automaton;
-use ioa::explore::{reach, search, SearchOutcome};
+use ioa::explore::ExploredGraph;
 use ioa::fairness::{run_round_robin, RunOutcome};
 use services::atomic::CanonicalAtomicObject;
 use services::automaton::{ServiceAutomaton, SvcAction};
@@ -54,9 +54,9 @@ fn agreement_holds_in_every_reachable_state() {
     // matches it — so no two decisions can ever differ.
     let aut = canonical(3, 1);
     let s = inject_inputs(&aut, &[(0, 0), (1, 1), (2, 1)]);
-    let reach = reach(&aut, vec![s], 1_000_000);
-    assert!(!reach.truncated());
-    for st in reach.states() {
+    let reach = ExploredGraph::explore(&aut, vec![s], 1_000_000);
+    assert!(!reach.stats().truncated());
+    for st in reach.store().states() {
         let chosen = st.val.as_set().expect("consensus value is a set");
         assert!(chosen.len() <= 1, "value grew beyond a singleton: {st}");
         for i in 0..3 {
@@ -78,23 +78,16 @@ fn validity_no_uninvoked_value_is_ever_decided() {
     // decide(0) response.
     let aut = canonical(3, 2);
     let s = inject_inputs(&aut, &[(0, 1), (1, 1), (2, 1)]);
-    let bad = search(
-        &aut,
-        &s,
-        |st: &SvcState| {
-            (0..3).any(|i| {
-                st.resp_buffer(ProcId(i))
-                    .iter()
-                    .any(|r| BinaryConsensus::decision(r) == Some(0))
-            })
-        },
-        1_000_000,
-    );
-    assert_eq!(
-        bad,
-        SearchOutcome::Exhausted,
-        "decide(0) must be unreachable"
-    );
+    let reach = ExploredGraph::explore(&aut, vec![s], 1_000_000);
+    assert!(!reach.stats().truncated(), "the search must be exhaustive");
+    let bad = reach.store().states().iter().find(|st: &&SvcState| {
+        (0..3).any(|i| {
+            st.resp_buffer(ProcId(i))
+                .iter()
+                .any(|r| BinaryConsensus::decision(r) == Some(0))
+        })
+    });
+    assert_eq!(bad, None, "decide(0) must be unreachable");
 }
 
 #[test]
@@ -127,9 +120,9 @@ fn beyond_f_failures_the_object_may_stall_but_stays_safe() {
         .any(|(a, _)| matches!(a, SvcAction::DummyPerform(_))));
     // Exhaustive safety even past the resilience bound: all reachable
     // responses agree with the object value.
-    let reach = reach(&aut, vec![s], 1_000_000);
-    assert!(!reach.truncated());
-    for st in reach.states() {
+    let reach = ExploredGraph::explore(&aut, vec![s], 1_000_000);
+    assert!(!reach.stats().truncated());
+    for st in reach.store().states() {
         assert!(st.val.as_set().expect("set").len() <= 1);
     }
 }

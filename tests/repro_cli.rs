@@ -9,8 +9,9 @@
 //! verdicts either way on an id-symmetric candidate. Out-of-range
 //! numeric flags and process indices must be refused with one `error:`
 //! line and exit 2 before the library's own assertions can panic, and
-//! so must a flag the subcommand does not read, a repeated flag, a
-//! flag without its value, and a stray or missing operand.
+//! so must a flag the subcommand (or `certify`'s chosen construction)
+//! does not read, a repeated flag, a flag without its value, and a
+//! stray or missing operand. No refusal prints anything to stdout.
 
 use std::process::{Command, Output};
 
@@ -148,7 +149,7 @@ fn stale_symmetry_env_value_is_named_once_on_stderr() {
     );
 }
 
-/// One `error:` line on stderr, exit 2, no panic.
+/// One `error:` line on stderr, nothing on stdout, exit 2, no panic.
 fn assert_refused(args: &[&str], needle: &str) {
     let out = repro(args);
     let err = stderr_of(&out);
@@ -156,6 +157,7 @@ fn assert_refused(args: &[&str], needle: &str) {
     assert_eq!(err.lines().count(), 1, "{args:?}: {err:?}");
     assert!(err.starts_with("error: "), "{args:?}: {err:?}");
     assert!(err.contains(needle), "{args:?}: {err:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: {:?}", out.stdout);
 }
 
 #[test]
@@ -174,6 +176,56 @@ fn witness_refuses_zero_processes() {
 #[test]
 fn witness_refuses_a_refutation_without_a_survivor() {
     assert_refused(&["witness", "--n", "3", "--f", "5"], "f + 1 < n");
+}
+
+#[test]
+fn witness_tas_refuses_any_process_count_but_two() {
+    // Used to print the candidate line, then die with the usage dump.
+    assert_refused(
+        &["witness", "--class", "tas", "--n", "3", "--f", "1"],
+        "--n must be 2 for --class tas, got 3",
+    );
+}
+
+#[test]
+fn unknown_witness_class_keeps_usage_and_prints_nothing() {
+    // Used to print the candidate line before refusing the class.
+    let out = repro(&["witness", "--class", "nope", "--n", "3", "--f", "1"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err:?}");
+    assert!(err.starts_with("error: unknown class \"nope\""), "{err:?}");
+    assert!(err.contains("usage:"), "{err:?}");
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+}
+
+#[test]
+fn check_refuses_more_ones_than_processes() {
+    // Used to print the usage dump.
+    assert_refused(
+        &["check", "always(safe)", "--ones", "5", "--n", "2"],
+        "--ones must be at most --n (2), got 5",
+    );
+}
+
+#[test]
+fn certify_refuses_flags_its_construction_does_not_read() {
+    // Both used to certify: tas whatever --n said, fd-boost ignoring --k.
+    assert_refused(
+        &["certify", "--construction", "tas", "--n", "5", "--k", "7"],
+        "--n does not apply to --construction tas (it takes no other flag)",
+    );
+    assert_refused(
+        &[
+            "certify",
+            "--construction",
+            "fd-boost",
+            "--n",
+            "3",
+            "--k",
+            "2",
+        ],
+        "--k does not apply to --construction fd-boost (it takes --n)",
+    );
 }
 
 #[test]
