@@ -91,18 +91,6 @@ impl Default for AuditConfig {
 }
 
 impl AuditConfig {
-    /// A small-budget configuration for audits on construction paths
-    /// (the `contract-checks` feature), where the audit runs once per
-    /// substrate assembly.
-    #[must_use]
-    pub fn quick() -> Self {
-        AuditConfig {
-            max_component_states: 128,
-            buffer_depth: 1,
-            max_violations: 4,
-        }
-    }
-
     /// The tiny budget [`effective_symmetry`] pays *per exploration*:
     /// the gate sits in front of sub-millisecond quotient builds, so
     /// its closures are capped hard. Symmetry lies are overwhelmingly
@@ -1305,7 +1293,7 @@ pub fn effective_symmetry<P: ProcessAutomaton>(
         if !trusted {
             eprintln!(
                 "warning: symmetry-honesty audit rejected this substrate's symmetry claim; \
-                 degrading to SYMMETRY=off ({} counterexample(s), first: {})",
+                 exploring with symmetry off ({} counterexample(s), first: {})",
                 result.violation_count,
                 result
                     .violations

@@ -16,9 +16,9 @@
 //! input differs).
 //!
 //! The rules that turn root valences into an outcome live in one
-//! place, [`Lemma4`]: the early-exit walk here and the witness
-//! pipeline's single pass over every root (`crate::witness`) both
-//! apply them.
+//! place, the crate-private `Lemma4`: the early-exit walk here and
+//! the witness pipeline's single pass over every root
+//! (`crate::witness`) both apply them.
 
 use crate::valence::{Truncated, Valence, ValenceMap};
 use ioa::canon::SymmetryMode;
@@ -156,7 +156,8 @@ impl Lemma4 {
     }
 }
 
-/// Walks `α_0, …, α_n` (Lemma 4) and classifies each initialization.
+/// Walks `α_0, …, α_n` (Lemma 4) and classifies each initialization,
+/// exploring the concrete state spaces ([`SymmetryMode::Off`]).
 ///
 /// # Errors
 ///
@@ -166,11 +167,11 @@ pub fn find_bivalent_init<P: ProcessAutomaton>(
     sys: &CompleteSystem<P>,
     max_states: usize,
 ) -> Result<InitOutcome<P>, Truncated> {
-    find_bivalent_init_sym(sys, max_states, SymmetryMode::from_env())
+    find_bivalent_init_sym(sys, max_states, SymmetryMode::Off)
 }
 
 /// [`find_bivalent_init`] with an explicit [`SymmetryMode`]
-/// instead of the `SYMMETRY` environment default. Under
+/// instead of [`SymmetryMode::Off`]. Under
 /// [`SymmetryMode::Full`] the valence maps are symmetry quotients;
 /// the classification of each `α_j` is unchanged (valence is an
 /// orbit invariant), and the returned map answers concrete-state

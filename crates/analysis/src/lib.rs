@@ -31,8 +31,9 @@
 //!   `repro audit`: verifies the soundness preconditions every
 //!   optimization layer trusts (task partition, per-task determinism,
 //!   symmetry honesty, effect purity) without global state-space
-//!   exploration, and degrades quotient exploration to
-//!   `SYMMETRY=off` when a substrate's symmetry claim fails the audit.
+//!   exploration, and degrades a `SymmetryMode::Full` request to
+//!   concrete exploration when a substrate's symmetry claim fails the
+//!   audit.
 //!
 //! # Example
 //!

@@ -3,12 +3,11 @@
 //!
 //! Every theorem the workspace checks is a question about the explored
 //! graph `G(C)`: an invariant over its states (safety), reachability of
-//! a goal (bivalence is "both decisions reachable"), an inevitability
-//! (termination is "every fair maximal path decides"), or a
-//! finite-trace refinement (atomicity). This module expresses those
-//! questions as a small combinator AST — [`Prop`] over named state
-//! predicates ([`Atom`]) — and evaluates a *batch* of them with fused
-//! passes over the graph:
+//! a goal (bivalence is "both decisions reachable"), or an
+//! inevitability (termination is "every fair maximal path decides").
+//! This module expresses those questions as a small combinator AST —
+//! [`Prop`] over named state predicates ([`Atom`]) — and evaluates a
+//! *batch* of them with fused passes over the graph:
 //!
 //! * **one forward scan** over the states in id (BFS discovery) order,
 //!   evaluating every distinct atom once per state and materializing
@@ -341,78 +340,6 @@ impl<G: PropGraph> fmt::Debug for Atom<'_, G> {
     }
 }
 
-/// The outcome of an external refinement check (finite-trace
-/// inclusion against a `spec` object), in the evaluator's three-valued
-/// vocabulary. Convert an [`ioa::refine::Inclusion`] with
-/// [`refinement_outcome`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RefinementOutcome {
-    /// Every implementation trace is a specification trace.
-    Holds,
-    /// A counterexample: the accepted `prefix` extended by `offending`
-    /// leaves the specification's trace set.
-    Fails {
-        /// The rendered actions of the accepted prefix.
-        prefix: Vec<String>,
-        /// The rendered first action the specification cannot take.
-        offending: String,
-    },
-    /// The subset construction hit its state budget.
-    Truncated,
-}
-
-/// Converts an [`ioa::refine::Inclusion`] to a [`RefinementOutcome`],
-/// rendering actions with `Debug`.
-pub fn refinement_outcome<A: fmt::Debug>(inc: ioa::refine::Inclusion<A>) -> RefinementOutcome {
-    match inc {
-        ioa::refine::Inclusion::Holds => RefinementOutcome::Holds,
-        ioa::refine::Inclusion::Fails(cex) => RefinementOutcome::Fails {
-            prefix: cex
-                .matched_prefix
-                .iter()
-                .map(|a| format!("{a:?}"))
-                .collect(),
-            offending: format!("{:?}", cex.offending),
-        },
-        ioa::refine::Inclusion::Truncated => RefinementOutcome::Truncated,
-    }
-}
-
-/// An external refinement check, deferred behind a closure so the
-/// property AST stays independent of the concrete spec/implementation
-/// automata. Evaluated once per [`evaluate_batch`] occurrence; does
-/// not touch the explored graph (and therefore does not count against
-/// the fused pass budget).
-pub struct RefinesCheck<'g> {
-    name: String,
-    run: Rc<dyn Fn() -> RefinementOutcome + 'g>,
-}
-
-impl<'g> RefinesCheck<'g> {
-    /// Wraps a refinement oracle under a display name.
-    pub fn new(name: impl Into<String>, run: impl Fn() -> RefinementOutcome + 'g) -> Self {
-        RefinesCheck {
-            name: name.into(),
-            run: Rc::new(run),
-        }
-    }
-}
-
-impl Clone for RefinesCheck<'_> {
-    fn clone(&self) -> Self {
-        RefinesCheck {
-            name: self.name.clone(),
-            run: Rc::clone(&self.run),
-        }
-    }
-}
-
-impl fmt::Debug for RefinesCheck<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
-    }
-}
-
 /// The property AST. Temporal operators apply to atoms (a guarded
 /// fragment: one forward and one backward pass decide every operator);
 /// boolean combinators compose verdicts with Kleene three-valued
@@ -441,8 +368,6 @@ pub enum Prop<'g, G: PropGraph> {
     And(Vec<Prop<'g, G>>),
     /// Disjunction (Kleene; `Holds` dominates, then `Unknown`).
     Or(Vec<Prop<'g, G>>),
-    /// Finite-trace refinement against a spec, via an external oracle.
-    Refines(RefinesCheck<'g>),
 }
 
 // Manual impls: the derives would demand `G: Clone + Debug`, but only
@@ -459,7 +384,6 @@ impl<G: PropGraph> Clone for Prop<'_, G> {
             Prop::Not(p) => Prop::Not(p.clone()),
             Prop::And(ps) => Prop::And(ps.clone()),
             Prop::Or(ps) => Prop::Or(ps.clone()),
-            Prop::Refines(r) => Prop::Refines(r.clone()),
         }
     }
 }
@@ -508,10 +432,6 @@ impl<'g, G: PropGraph> Prop<'g, G> {
     pub fn any(ps: Vec<Prop<'g, G>>) -> Self {
         Prop::Or(ps)
     }
-    /// Refinement against a spec, via an external oracle.
-    pub fn refines(name: impl Into<String>, run: impl Fn() -> RefinementOutcome + 'g) -> Self {
-        Prop::Refines(RefinesCheck::new(name, run))
-    }
 }
 
 impl<G: PropGraph> fmt::Display for Prop<'_, G> {
@@ -544,7 +464,6 @@ impl<G: PropGraph> fmt::Display for Prop<'_, G> {
                 }
                 write!(f, ")")
             }
-            Prop::Refines(r) => write!(f, "refines({})", r.name),
         }
     }
 }
@@ -608,14 +527,6 @@ pub enum Witness {
         path: Vec<StateId>,
         /// Index in `path` where the cycle begins.
         cycle_start: usize,
-    },
-    /// A refinement counterexample: the accepted prefix and the first
-    /// action the specification cannot take (rendered).
-    Trace {
-        /// Rendered actions of the accepted prefix.
-        prefix: Vec<String>,
-        /// Rendered offending action.
-        offending: String,
     },
 }
 
@@ -688,9 +599,10 @@ pub fn evaluate<'g, G: PropGraph>(g: &G, p: &Prop<'g, G>) -> Evaluation {
 /// graph provided the properties' atoms are orbit-invariant. Nearly
 /// all of [`atoms`]' vocabulary is (valence, decidedness, safety and
 /// failure-count predicates depend only on value sets and cardinals,
-/// never on which process holds which role); the exception is the
-/// process-specific `failed(i)`, which distinguishes states within an
-/// orbit and must only be used on full (non-quotient) maps. Witness
+/// never on which process holds which role); the exceptions are the
+/// process-specific `proc_decided(i)` and `failed(i)`, which
+/// distinguish states within an orbit and must only be used on full
+/// (non-quotient) maps. Witness
 /// paths live in the quotient; lift them back to concrete, replayable
 /// executions with [`SystemGraph::lift_path`] before handing them to
 /// `replay`.
@@ -784,8 +696,7 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             af: Vec::new(),
             passes: PassCounts::default(),
         };
-        let needs_graph = props.iter().any(touches_graph);
-        if n > 0 && needs_graph {
+        if n > 0 && !props.is_empty() {
             engine.forward_pass();
             // On an open frontier every AF-family verdict is decided
             // without the fixpoint (Holds iff the atom already holds
@@ -907,19 +818,6 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             }
             Prop::And(ps) => self.eval_junction(ps, Verdict::and, Verdict::Fails),
             Prop::Or(ps) => self.eval_junction(ps, Verdict::or, Verdict::Holds),
-            Prop::Refines(r) => match (r.run)() {
-                RefinementOutcome::Holds => Evaluation::plain(Verdict::Holds),
-                RefinementOutcome::Fails { prefix, offending } => Evaluation {
-                    verdict: Verdict::Fails,
-                    witness: Some(Witness::Trace { prefix, offending }),
-                    reason: None,
-                },
-                RefinementOutcome::Truncated => Evaluation {
-                    verdict: Verdict::Unknown,
-                    witness: None,
-                    reason: Some("refinement subset construction hit its state budget".into()),
-                },
-            },
         }
     }
 
@@ -1328,17 +1226,6 @@ fn restricted_path(parent: &[Option<u32>], root: StateId, target: usize) -> Vec<
     path
 }
 
-/// Whether a property consults the graph at all (a pure `Refines`
-/// batch performs zero passes).
-fn touches_graph<G: PropGraph>(p: &Prop<'_, G>) -> bool {
-    match p {
-        Prop::Refines(_) => false,
-        Prop::Not(inner) => touches_graph(inner),
-        Prop::And(ps) | Prop::Or(ps) => ps.iter().any(touches_graph),
-        _ => true,
-    }
-}
-
 /// The standard atom vocabulary over a [`SystemGraph`] — the building
 /// blocks the theorem restatements and the `repro check` textual form
 /// share. Each constructor returns a fresh atom; reuse one `Atom`
@@ -1510,8 +1397,7 @@ pub fn system_vocab<'g, P: ProcessAutomaton>(
 /// atom     := IDENT ['(' INT (',' INT)* ')']
 /// ```
 ///
-/// Atom names resolve through `vocab`. `refines` has no textual form
-/// (it needs an external oracle); construct it with [`Prop::refines`].
+/// Atom names resolve through `vocab`.
 ///
 /// # Errors
 ///
@@ -1729,7 +1615,6 @@ fn collect_atoms<'g, G: PropGraph>(
                 collect_atoms(q, atoms, af_atoms);
             }
         }
-        Prop::Refines(_) => {}
     }
 }
 
@@ -2065,28 +1950,11 @@ mod tests {
     }
 
     #[test]
-    fn refines_runs_outside_the_graph_passes() {
+    fn an_empty_batch_makes_no_passes() {
         let g = ToyGraph::new(1, &[0], &[]);
-        let report = evaluate_batch(&g, &[Prop::refines("spec", || RefinementOutcome::Holds)]);
-        assert_eq!(report.results[0].verdict, Verdict::Holds);
+        let report = evaluate_batch(&g, &[]);
+        assert!(report.results.is_empty());
         assert_eq!(report.passes, PassCounts::default());
-        let fails = evaluate(
-            &g,
-            &Prop::refines("spec", || RefinementOutcome::Fails {
-                prefix: vec!["a".into()],
-                offending: "b".into(),
-            }),
-        );
-        assert_eq!(fails.verdict, Verdict::Fails);
-        assert_eq!(
-            fails.witness,
-            Some(Witness::Trace {
-                prefix: vec!["a".into()],
-                offending: "b".into()
-            })
-        );
-        let trunc = evaluate(&g, &Prop::refines("spec", || RefinementOutcome::Truncated));
-        assert_eq!(trunc.verdict, Verdict::Unknown);
     }
 
     #[test]

@@ -175,7 +175,9 @@ const _: () = {
 impl<P: ProcessAutomaton> ValenceMap<P> {
     /// Explores every failure-free extension of `root` (at most
     /// `max_states` distinct states) and computes each state's
-    /// reachable-decisions set.
+    /// reachable-decisions set. The graph is the concrete one
+    /// ([`SymmetryMode::Off`]); [`ValenceMap::build_with_symmetry`]
+    /// asks for the quotient.
     ///
     /// # Errors
     ///

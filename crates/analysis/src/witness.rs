@@ -56,7 +56,7 @@ pub struct Bounds {
     /// an id-symmetric candidate the maps are orbit quotients — same
     /// theorem verdicts, far fewer interned states — and every
     /// returned witness is still a concrete, replayable execution.
-    /// Defaults to the `SYMMETRY` environment variable.
+    /// Defaults to [`SymmetryMode::Off`].
     pub symmetry: SymmetryMode,
 }
 
@@ -67,14 +67,13 @@ impl Default for Bounds {
             max_hook_iterations: 20_000,
             max_run_steps: 500_000,
             threads: 0,
-            symmetry: SymmetryMode::from_env(),
+            symmetry: SymmetryMode::Off,
         }
     }
 }
 
 impl Bounds {
-    /// The same bounds with an explicit symmetry mode (overriding the
-    /// `SYMMETRY` environment default).
+    /// The same bounds with an explicit symmetry mode.
     #[must_use]
     pub fn with_symmetry(mut self, symmetry: SymmetryMode) -> Self {
         self.symmetry = symmetry;

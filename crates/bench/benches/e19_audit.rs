@@ -5,11 +5,10 @@
 //! experiment is the *scaling shape*: auditing is polynomial in
 //! component sizes (the `states` annotation counts component-local
 //! states, not global ones), so its cost is flat in `n` where the
-//! explorations it guards are exponential. The construction-time
-//! (`contract-checks`) and exploration-time (`effective_symmetry`)
-//! gates run the same machinery at smaller budgets — and the latter
-//! memoizes its verdict per system instance — so neither pays these
-//! full-budget numbers on hot paths.
+//! explorations it guards are exponential. The exploration-time gate
+//! (`effective_symmetry`) runs the same machinery at a much smaller
+//! budget and memoizes its verdict per system instance, so hot paths
+//! never pay these full-budget numbers.
 //!
 //! Expected shape: audit time tracks Σ_c |closure(c)| · |tasks|, not
 //! the product state space; doomed-style substrates with one shared

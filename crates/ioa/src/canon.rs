@@ -5,22 +5,23 @@
 //! [`crate::automaton::Automaton::canonical`] is an automaton-supplied
 //! pure function mapping a state to its orbit representative. This
 //! module supplies the two shared ingredients every canonicalizing
-//! automaton needs: a [`SymmetryMode`] that can be threaded through
-//! options/CLIs/environments uniformly, and a small, dependency-free
-//! [`Perm`] type (a permutation of `0..n`) with the algebra the
-//! quotient constructions use — composition, inversion and bitmask
-//! permutation. The group is never enumerated: the signature-sort
-//! canonical form in `system::packed` (DESIGN §2.1.6) computes the one
-//! permutation it needs per state.
+//! automaton needs: a [`SymmetryMode`] that every layer takes as an
+//! explicit argument, and a small, dependency-free [`Perm`] type (a
+//! permutation of `0..n`) with the algebra the quotient constructions
+//! use — composition, inversion and bitmask permutation. The group is
+//! never enumerated: the signature-sort canonical form in
+//! `system::packed` (DESIGN §2.1.6) computes the one permutation it
+//! needs per state.
 //!
 //! Determinism matters here: quotient graphs must stay bit-identical
 //! across runs, so nothing in this module depends on hashing or
 //! allocation order.
 
-use std::env;
-use std::sync::Once;
-
-/// Environment variable read by [`SymmetryMode::from_env`].
+/// The name `SYMMETRY`. No code reads this environment variable: every
+/// layer takes the [`SymmetryMode`] as an argument, defaulting to
+/// [`SymmetryMode::Off`]. The constant remains only because the
+/// repository benchmark (`perfbench/`) clears the variable before its
+/// first call.
 pub const SYMMETRY_ENV: &str = "SYMMETRY";
 
 /// Whether exploration quotients the state space by the automaton's
@@ -43,29 +44,6 @@ pub enum SymmetryMode {
 }
 
 impl SymmetryMode {
-    /// Reads the mode from the `SYMMETRY` environment variable: `full`
-    /// (case-insensitive) enables the quotient; `off` or unset is
-    /// [`SymmetryMode::Off`]. Any other non-empty value also means
-    /// `Off`, and the first such read in a process says so in one line
-    /// on stderr, so a stale setting never drops the quotient
-    /// silently.
-    pub fn from_env() -> SymmetryMode {
-        match env::var(SYMMETRY_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("full") => SymmetryMode::Full,
-            Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("off") => {
-                static WARNED: Once = Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: {SYMMETRY_ENV}={v:?} is not full|off; \
-                         exploring with {SYMMETRY_ENV}=off"
-                    );
-                });
-                SymmetryMode::Off
-            }
-            _ => SymmetryMode::Off,
-        }
-    }
-
     /// Whether the process-id quotient is enabled.
     pub fn reduces(self) -> bool {
         self == SymmetryMode::Full
@@ -244,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn from_env_parses_full() {
+    fn off_is_the_default_and_only_full_reduces() {
         assert_eq!(SymmetryMode::default(), SymmetryMode::Off);
         assert!(SymmetryMode::Full.reduces());
         assert!(!SymmetryMode::Off.reduces());

@@ -96,15 +96,6 @@ impl SplitMix64 {
             xs.swap(i, j);
         }
     }
-
-    /// Choose a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.gen_range(xs.len())])
-        }
-    }
 }
 
 #[cfg(test)]

@@ -403,13 +403,6 @@ impl<S: Hash + Eq + Clone> StateStore<S> {
         &self.states
     }
 
-    /// Consume the store, moving the interned states out in id
-    /// (discovery) order. No state is cloned; the index is dropped.
-    #[must_use]
-    pub fn into_states(self) -> Vec<S> {
-        self.states
-    }
-
     /// Iterate all ids in discovery order.
     pub fn ids(&self) -> impl Iterator<Item = StateId> {
         (0..self.states.len() as u32).map(StateId)

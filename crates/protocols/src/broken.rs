@@ -17,9 +17,8 @@
 //!   task, an action emitted by two tasks, and a vocabulary action
 //!   owned by a task `tasks()` never declares.
 //!
-//! None of these call [`crate::contract_check`] — being constructible
-//! is their job; being *caught* is the auditor's, pinned by
-//! `tests/audit_differential.rs` at the workspace root.
+//! Being constructible is their job; being *caught* is the auditor's,
+//! pinned by `tests/audit_differential.rs` at the workspace root.
 
 use ioa::automaton::{ActionKind, Automaton};
 use services::atomic::CanonicalAtomicObject;

@@ -34,9 +34,7 @@ use system::process::{ProcAction, ProcessAutomaton};
 pub fn doomed_atomic(n: usize, f: usize) -> CompleteSystem<DirectConsensus> {
     let endpoints: Vec<ProcId> = (0..n).map(ProcId).collect();
     let obj = CanonicalAtomicObject::new(Arc::new(BinaryConsensus), endpoints, f);
-    let sys = CompleteSystem::new(DirectConsensus::new(SvcId(0)), n, vec![Arc::new(obj)]);
-    crate::contract_check(&sys, "doomed-atomic");
-    sys
+    CompleteSystem::new(DirectConsensus::new(SvcId(0)), n, vec![Arc::new(obj)])
 }
 
 /// The phase of a [`RegisterThenObject`] process.
@@ -144,16 +142,14 @@ pub fn doomed_atomic_with_registers(n: usize, f: usize) -> CompleteSystem<Regist
             SvcId(1 + i)
         })
         .collect();
-    let sys = CompleteSystem::new(
+    CompleteSystem::new(
         RegisterThenObject {
             object: SvcId(0),
             reg_of,
         },
         n,
         services,
-    );
-    crate::contract_check(&sys, "doomed-registers");
-    sys
+    )
 }
 
 /// The phase of a [`TobConsensus`] process.
@@ -265,9 +261,7 @@ pub fn doomed_oblivious(n: usize, f: usize) -> CompleteSystem<TobConsensus> {
     let endpoints: Vec<ProcId> = (0..n).map(ProcId).collect();
     let tob = TotallyOrderedBroadcast::new([Val::Int(0), Val::Int(1)], endpoints.iter().copied());
     let svc = CanonicalObliviousService::new(Arc::new(tob), endpoints, f);
-    let sys = CompleteSystem::new(TobConsensus { tob: SvcId(0) }, n, vec![Arc::new(svc)]);
-    crate::contract_check(&sys, "doomed-tob");
-    sys
+    CompleteSystem::new(TobConsensus { tob: SvcId(0) }, n, vec![Arc::new(svc)])
 }
 
 /// The phase of a [`MixedConsensus`] process.
@@ -416,16 +410,14 @@ pub fn doomed_mixed(n: usize, f: usize) -> CompleteSystem<MixedConsensus> {
             f,
         )),
     ];
-    let sys = CompleteSystem::new(
+    CompleteSystem::new(
         MixedConsensus {
             tob: SvcId(0),
             object: SvcId(1),
         },
         n,
         services,
-    );
-    crate::contract_check(&sys, "doomed-mixed");
-    sys
+    )
 }
 
 /// Builds the Theorem 10 candidate: the rotating-coordinator protocol
@@ -455,13 +447,11 @@ pub fn doomed_general(n: usize, f: usize) -> CompleteSystem<RotatingCoordinator>
         f,
     )));
     let fd_services: BTreeSet<SvcId> = [fd_id].into_iter().collect();
-    let sys = CompleteSystem::new(
+    CompleteSystem::new(
         RotatingCoordinator::new(n, reg_of, fd_services),
         n,
         services,
-    );
-    crate::contract_check(&sys, "doomed-fd");
-    sys
+    )
 }
 
 #[cfg(test)]

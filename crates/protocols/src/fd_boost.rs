@@ -240,13 +240,11 @@ pub fn build(n: usize) -> CompleteSystem<RotatingCoordinator> {
             fd_services.insert(id);
         }
     }
-    let sys = CompleteSystem::new(
+    CompleteSystem::new(
         RotatingCoordinator::new(n, reg_of, fd_services),
         n,
         services,
-    );
-    crate::contract_check(&sys, "fd-boost");
-    sys
+    )
 }
 
 #[cfg(test)]

@@ -43,29 +43,3 @@ pub mod set_boost;
 pub mod snapshot;
 pub mod tas_consensus;
 pub mod universal;
-
-/// Construction-time contract audit, the `debug_assert` of substrate
-/// assembly: with the `contract-checks` feature on, every builder in
-/// this crate hands its freshly assembled system to the
-/// `analysis::audit` component-local analyzer and panics on any
-/// violation, so a substrate that lies about its contracts cannot even
-/// be constructed in checked builds. Feature-off builds compile this to
-/// nothing — substrate construction stays O(1) on release paths.
-pub(crate) fn contract_check<P: system::process::ProcessAutomaton>(
-    sys: &system::build::CompleteSystem<P>,
-    name: &str,
-) {
-    #[cfg(feature = "contract-checks")]
-    {
-        let report =
-            analysis::audit::audit_system(sys, name, &analysis::audit::AuditConfig::quick());
-        assert!(
-            !report.has_violations(),
-            "substrate `{name}` failed its construction-time contract audit:\n{report}"
-        );
-    }
-    #[cfg(not(feature = "contract-checks"))]
-    {
-        let _ = (sys, name);
-    }
-}

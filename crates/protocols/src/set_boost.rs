@@ -96,11 +96,6 @@ impl GroupProcess {
     pub fn new(svc_of: Vec<SvcId>) -> Self {
         GroupProcess { svc_of }
     }
-
-    /// The service process `i` is wired to.
-    pub fn service_of(&self, i: ProcId) -> SvcId {
-        self.svc_of[i.0]
-    }
 }
 
 impl ProcessAutomaton for GroupProcess {
@@ -184,9 +179,7 @@ pub fn build(params: SetBoostParams) -> CompleteSystem<GroupProcess> {
         };
         services.push(Arc::new(svc));
     }
-    let sys = CompleteSystem::new(GroupProcess::new(svc_of), params.n, services);
-    crate::contract_check(&sys, "set-boost");
-    sys
+    CompleteSystem::new(GroupProcess::new(svc_of), params.n, services)
 }
 
 #[cfg(test)]

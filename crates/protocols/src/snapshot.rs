@@ -210,9 +210,7 @@ pub fn build(n: usize, m: i64) -> CompleteSystem<SnapshotProcess> {
             )) as services::ArcService
         })
         .collect();
-    let sys = CompleteSystem::new(SnapshotProcess { n }, n, services);
-    crate::contract_check(&sys, "snapshot");
-    sys
+    CompleteSystem::new(SnapshotProcess { n }, n, services)
 }
 
 /// The canonical snapshot object this system implements (for trace

@@ -148,13 +148,11 @@ pub fn build(tas_resilience: usize) -> CompleteSystem<TasConsensus> {
             tas_resilience,
         )),
     ];
-    let sys = CompleteSystem::new(
+    CompleteSystem::new(
         TasConsensus::new([SvcId(0), SvcId(1)], SvcId(2)),
         2,
         services,
-    );
-    crate::contract_check(&sys, "test-and-set");
-    sys
+    )
 }
 
 #[cfg(test)]

@@ -59,11 +59,6 @@ impl MultiValueConsensus {
             None
         }
     }
-
-    /// The input-domain size `m`.
-    pub fn domain_size(&self) -> i64 {
-        self.m
-    }
 }
 
 impl SeqType for MultiValueConsensus {

@@ -91,14 +91,6 @@ impl Val {
         }
     }
 
-    /// Returns the boolean payload, if this is a [`Val::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Val::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the set payload, if this is a [`Val::Set`].
     pub fn as_set(&self) -> Option<&BTreeSet<Val>> {
         match self {

@@ -229,11 +229,6 @@ impl<P: ProcessAutomaton> CompleteSystem<P> {
         self.n
     }
 
-    /// All process ids `I`.
-    pub fn process_ids(&self) -> impl Iterator<Item = ProcId> {
-        (0..self.n).map(ProcId)
-    }
-
     /// The services, indexed by `SvcId`.
     pub fn services(&self) -> &[ArcService] {
         &self.services

@@ -8,7 +8,7 @@
 //! small `u32` copy, equality is a slice compare, and hashing touches a
 //! few machine words instead of walking the `BTreeMap` buffer trees of
 //! every service. Successor generation rebuilds **only the touched
-//! component**: [`CompleteSystem::succ_effects`] already reports each
+//! component**: `CompleteSystem::succ_effects` already reports each
 //! transition as a delta touching at most one process slot and one
 //! service slot, so the packed automaton interns the (at most two)
 //! fresh components and patches their id slots.
@@ -173,10 +173,9 @@ impl<PS: std::hash::Hash + Eq> StateView<PS> for PackedView<'_, PS> {
 
 impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// Wraps `sys` with fresh (empty) component sub-arenas and the
-    /// transition-effect cache enabled. The symmetry mode defaults from
-    /// the `SYMMETRY` environment variable (see
-    /// [`SymmetryMode::from_env`]); use [`PackedSystem::with_symmetry`]
-    /// to pin it explicitly.
+    /// transition-effect cache enabled, exploring concretely
+    /// ([`SymmetryMode::Off`]); use [`PackedSystem::with_symmetry`] to
+    /// quotient.
     ///
     /// # Panics
     ///
@@ -184,7 +183,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// is packed as a `u32` bitmask — far beyond the exhaustively
     /// explorable range anyway).
     pub fn new(sys: &'s CompleteSystem<P>) -> Self {
-        Self::with_symmetry(sys, SymmetryMode::from_env())
+        Self::with_symmetry(sys, SymmetryMode::Off)
     }
 
     /// [`PackedSystem::new`] with an explicit symmetry mode. Under
@@ -1057,7 +1056,7 @@ fn cmp_endpoint_view(st: &SvcState, i: ProcId, j: ProcId) -> Ordering {
 /// local-view signature the packed
 /// [`PackedSystem::canonical_with_sym`] sorts by — `(fx hash, value)`
 /// of the process state, then the failed bit, then each service's
-/// endpoint view ([`cmp_endpoint_view`]).
+/// endpoint view (the private `cmp_endpoint_view`).
 ///
 /// [`Interner::hash_of`] caches precisely `fx_hash` of the component
 /// value, so the deep and packed canonicalizers always agree (pinned

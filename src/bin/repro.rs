@@ -65,10 +65,15 @@
 //! `G(C)` (orbit canonicalization) — same theorem verdicts and census
 //! classifications with far fewer interned states on id-symmetric
 //! candidates; falls back to the full graph on candidates that are
-//! not. Defaults to the `SYMMETRY` environment variable (`full` to
-//! enable), else off. Under an active quotient, `census` additionally
-//! prints the orbit-size histogram — how many concrete states each
-//! interned representative stands for.
+//! not. Defaults to off; no environment variable changes that. Under
+//! an active quotient, `census` additionally prints the orbit-size
+//! histogram — how many concrete states each interned representative
+//! stands for. `check` then refuses the process-indexed atoms
+//! `proc_decided(i)` and `failed(i)` with one `error:` line and exit
+//! 2: an orbit representative does not record which process is which.
+//!
+//! `hook` and `census` report a candidate without a bivalent
+//! initialization on stdout and exit 1.
 //!
 //! Examples:
 //!
@@ -250,13 +255,11 @@ impl Args {
         }
     }
 
-    /// The symmetry mode (`--symmetry full|off`, default from
-    /// the `SYMMETRY` environment variable).
+    /// The symmetry mode (`--symmetry full|off`, default off).
     fn symmetry(&self) -> SymmetryMode {
         match self.get("symmetry") {
-            None => SymmetryMode::from_env(),
+            None | Some("off") => SymmetryMode::Off,
             Some("full") => SymmetryMode::Full,
-            Some("off") => SymmetryMode::Off,
             Some(other) => die(&format!("--symmetry wants full|off, got {other:?}")),
         }
     }
@@ -291,7 +294,8 @@ fn die(msg: &str) -> ! {
          check evaluates ';'-separated properties over the explored graph, e.g.\n  \
          repro check 'always(safe); ef(decided(0)) & ef(decided(1))' --class atomic --n 2 --f 0\n\
          atoms: bivalent univalent zero_valent one_valent undecided decided decided(v)\n        \
-         proc_decided(i) safe no_failures failed(i) quiescent\n\
+         proc_decided(i) safe no_failures failed(i) quiescent\n       \
+         (proc_decided(i) and failed(i) are refused on a --symmetry full quotient)\n\
          operators: now always|ag|invariant exists_path|ef eventually|af\n           \
          fair_eventually|af_fair leads_to  and ! & | with C-like precedence\n\
          exit codes: 0 all hold, 1 some property fails, 2 some verdict unknown"
@@ -413,15 +417,31 @@ fn certify_cmd(args: &Args) -> ExitCode {
     }
 }
 
+/// Lemma 4's walk over `sys` for `hook` and `census`: the bivalent
+/// initialization and its map. Without one, the walk's outcome goes to
+/// stdout and the command exits 1; a walk that outgrows its state
+/// budget exits 2 with one `error:` line.
+fn bivalent_init<P: ProcessAutomaton>(
+    sys: &system::build::CompleteSystem<P>,
+    symmetry: SymmetryMode,
+) -> Result<(InputAssignment, ValenceMap<P>), ExitCode> {
+    match find_bivalent_init_sym(sys, 2_000_000, symmetry) {
+        Ok(InitOutcome::Bivalent { assignment, map }) => Ok((assignment, map)),
+        Ok(other) => {
+            println!("no bivalent initialization: {other:?}");
+            Err(ExitCode::FAILURE)
+        }
+        Err(e) => fail(&e.to_string()),
+    }
+}
+
 fn hook_cmd(args: &Args) -> ExitCode {
     let n = args.n(2, 1);
     let f = args.usize_or("f", 0);
     let sys = protocols::doomed::doomed_atomic(n, f);
-    let InitOutcome::Bivalent { assignment, map } =
-        find_bivalent_init_sym(&sys, 2_000_000, args.symmetry())
-            .unwrap_or_else(|e| die(&e.to_string()))
-    else {
-        die("no bivalent initialization (try the witness command)")
+    let (assignment, map) = match bivalent_init(&sys, args.symmetry()) {
+        Ok(found) => found,
+        Err(code) => return code,
     };
     println!(
         "bivalent initialization: {assignment} ({} states)",
@@ -456,38 +476,32 @@ fn census_cmd(args: &Args) -> ExitCode {
     let n = args.n(3, 1);
     let f = args.usize_or("f", 1);
     let sys = protocols::doomed::doomed_atomic(n, f);
-    match find_bivalent_init_sym(&sys, 2_000_000, args.symmetry()) {
-        Ok(InitOutcome::Bivalent { assignment, map }) => {
-            println!("valence landscape of G(C) from {assignment}:");
-            println!("  {}", census(&map));
-            if let Some(group) = map.sym() {
-                let mut hist: std::collections::BTreeMap<u64, usize> =
-                    std::collections::BTreeMap::new();
-                let mut mass: u64 = 0;
-                for id in map.ids() {
-                    let k = system::packed::orbit_size(group, map.resolve(id));
-                    mass += k;
-                    *hist.entry(k).or_insert(0) += 1;
-                }
-                println!(
-                    "orbit sizes under S_{}: {} representative(s) covering {mass} \
-                     orbit state(s) ({:.2}× compression)",
-                    group.n,
-                    map.state_count(),
-                    mass as f64 / map.state_count() as f64,
-                );
-                for (k, c) in &hist {
-                    println!("  |orbit| = {k:>4}: {c} representative(s)");
-                }
-            }
-            ExitCode::SUCCESS
+    let (assignment, map) = match bivalent_init(&sys, args.symmetry()) {
+        Ok(found) => found,
+        Err(code) => return code,
+    };
+    println!("valence landscape of G(C) from {assignment}:");
+    println!("  {}", census(&map));
+    if let Some(group) = map.sym() {
+        let mut hist: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
+        let mut mass: u64 = 0;
+        for id in map.ids() {
+            let k = system::packed::orbit_size(group, map.resolve(id));
+            mass += k;
+            *hist.entry(k).or_insert(0) += 1;
         }
-        Ok(other) => {
-            println!("no bivalent initialization: {other:?}");
-            ExitCode::FAILURE
+        println!(
+            "orbit sizes under S_{}: {} representative(s) covering {mass} \
+             orbit state(s) ({:.2}× compression)",
+            group.n,
+            map.state_count(),
+            mass as f64 / map.state_count() as f64,
+        );
+        for (k, c) in &hist {
+            println!("  |orbit| = {k:>4}: {c} representative(s)");
         }
-        Err(e) => die(&e.to_string()),
     }
+    ExitCode::SUCCESS
 }
 
 /// Evaluates the parsed property batch over one candidate's `G(C)` and
@@ -506,12 +520,20 @@ fn check_on<P: ProcessAutomaton>(
     let graph = SystemGraph::new(sys, &map);
     let system_atoms = system_vocab::<P>(assignment.clone());
     // A process index outside 0..n names no process: refuse it rather
-    // than let the atom answer false everywhere.
+    // than let the atom answer false everywhere. On a quotient map an
+    // orbit representative does not record which process is which, so
+    // a process-indexed atom would be answered for some other process.
     let vocab = |name: &str, args: &[i64]| {
         if let ("proc_decided" | "failed", [i]) = (name, args) {
             if usize::try_from(*i).map_or(true, |i| i >= n) {
                 fail(&format!(
                     "{name}({i}): process index must be in 0..{n} for --n {n}"
+                ));
+            }
+            if map.symmetric() {
+                fail(&format!(
+                    "{name}({i}) names a process, which the symmetry quotient \
+                     does not track; use --symmetry off"
                 ));
             }
         }
@@ -564,9 +586,6 @@ fn check_on<P: ProcessAutomaton>(
                     path.len(),
                     cycle_start
                 );
-            }
-            Some(Witness::Trace { offending, .. }) => {
-                println!("        offending trace action: {offending}");
             }
             None => {}
         }

@@ -64,7 +64,7 @@ fn direct_system_implements_the_canonical_consensus_object_n2() {
 }
 
 /// Decides its own input immediately — violates atomicity. (Used by
-/// the checker-sanity test and its DSL restatement below.)
+/// the checker-sanity test below.)
 #[derive(Clone, Debug)]
 struct Selfish;
 
@@ -142,90 +142,4 @@ fn tob_consensus_is_also_atomic_for_consensus_traces() {
     ];
     let verdict = check_trace_inclusion(&imp, &spec_obj, external, &inputs, 2, 3_000_000);
     assert_eq!(verdict, Inclusion::Holds);
-}
-
-#[test]
-fn trace_inclusion_as_a_dsl_refinement_property() {
-    // The same two verdicts, phrased as `Prop::refines` — the DSL's
-    // finite-trace refinement operator wrapping the exhaustive
-    // checker. Refinement runs outside the graph passes (it drives
-    // schedules, not `G(C)`), so any substrate works; a one-state
-    // graph keeps it honest about not touching the CSR counters.
-    use analysis::prop::{evaluate, refinement_outcome, Prop, Verdict, Witness};
-    use ioa::automaton::{ActionKind, Automaton};
-    use ioa::explore::{ExploreOptions, ExploredGraph};
-
-    /// A single-state, transition-free automaton.
-    #[derive(Clone, Debug)]
-    struct Unit;
-    impl Automaton for Unit {
-        type State = ();
-        type Action = ();
-        type Task = ();
-        fn initial_states(&self) -> Vec<()> {
-            vec![()]
-        }
-        fn tasks(&self) -> Vec<()> {
-            Vec::new()
-        }
-        fn succ_all(&self, _t: &(), _s: &()) -> Vec<((), ())> {
-            Vec::new()
-        }
-        fn apply_input(&self, _s: &(), _a: &()) -> Option<()> {
-            None
-        }
-        fn kind(&self, _a: &()) -> ActionKind {
-            ActionKind::Internal
-        }
-    }
-    let g = ExploredGraph::explore_with(&Unit, vec![()], ExploreOptions::with_budget(2));
-
-    // Positive: the direct system refines the canonical object.
-    let imp = doomed_atomic(2, 1);
-    let spec_obj = canonical_consensus(2, 1);
-    let inputs = vec![
-        Action::Init(ProcId(0), Val::Int(0)),
-        Action::Init(ProcId(0), Val::Int(1)),
-        Action::Init(ProcId(1), Val::Int(0)),
-        Action::Init(ProcId(1), Val::Int(1)),
-        Action::Fail(ProcId(0)),
-        Action::Fail(ProcId(1)),
-    ];
-    let holds = Prop::refines("direct ⊑ canonical", || {
-        refinement_outcome(check_trace_inclusion(
-            &imp, &spec_obj, external, &inputs, 3, 3_000_000,
-        ))
-    });
-    assert_eq!(evaluate(&g, &holds).verdict, Verdict::Holds);
-
-    // Negative: Selfish violates atomicity, and the DSL surfaces the
-    // checker's counterexample as a trace witness ending in the
-    // conflicting decide.
-    let selfish = system::build::CompleteSystem::new(Selfish, 2, Vec::new());
-    let spec_obj = canonical_consensus(2, 1);
-    let bad_inputs = vec![
-        Action::Init(ProcId(0), Val::Int(0)),
-        Action::Init(ProcId(1), Val::Int(1)),
-    ];
-    let fails = Prop::refines("selfish ⊑ canonical", || {
-        refinement_outcome(check_trace_inclusion(
-            &selfish,
-            &spec_obj,
-            external,
-            &bad_inputs,
-            2,
-            1_000_000,
-        ))
-    });
-    let ev = evaluate(&g, &fails);
-    assert_eq!(ev.verdict, Verdict::Fails);
-    match ev.witness {
-        Some(Witness::Trace { offending, .. }) => {
-            assert!(
-                offending.contains("Respond"),
-                "the offending action is the conflicting decide, got {offending}"
-            );
-        }
-        other => panic!("expected a trace witness, got {other:?}"),
-    }
 }

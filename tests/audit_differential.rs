@@ -36,7 +36,6 @@ use system::sched::initialize;
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
-        .env_remove("SYMMETRY")
         .output()
         .expect("repro binary runs")
 }
@@ -49,6 +48,8 @@ fn stdout_of(out: &Output) -> String {
 // No false positives: every in-tree substrate is clean
 // ---------------------------------------------------------------------
 
+/// Every builder at every parameterization the `protocols` crate's own
+/// tests construct, audited at the default budget.
 #[test]
 fn every_in_tree_substrate_audits_clean() {
     fn assert_clean<P: ProcessAutomaton>(sys: &system::build::CompleteSystem<P>, name: &str) {
@@ -63,34 +64,55 @@ fn every_in_tree_substrate_audits_clean() {
             "{name}: the census must consider at least one task pair"
         );
     }
-    assert_clean(&doomed_atomic(2, 0), "doomed-atomic");
+    use protocols::{derived_fd, doomed, fd_boost, message_passing, snapshot, tas_consensus};
+    use spec::seq::{FetchAndAdd, FifoQueue};
+    use spec::Val;
+    for (n, f) in [(2, 0), (3, 1)] {
+        assert_clean(&doomed_atomic(n, f), &format!("doomed-atomic({n},{f})"));
+    }
     assert_clean(
-        &protocols::doomed::doomed_atomic_with_registers(2, 0),
+        &doomed::doomed_atomic_with_registers(2, 0),
         "doomed-registers",
     );
-    assert_clean(&protocols::doomed::doomed_oblivious(2, 0), "doomed-tob");
-    assert_clean(&protocols::doomed::doomed_general(2, 0), "doomed-fd");
-    assert_clean(&protocols::doomed::doomed_mixed(2, 0), "doomed-mixed");
-    assert_clean(&protocols::tas_consensus::build(1), "test-and-set");
+    for (n, f) in [(2, 0), (3, 1), (3, 2)] {
+        assert_clean(
+            &doomed::doomed_oblivious(n, f),
+            &format!("doomed-tob({n},{f})"),
+        );
+    }
+    assert_clean(&doomed::doomed_general(2, 0), "doomed-fd");
+    assert_clean(&doomed::doomed_mixed(2, 0), "doomed-mixed");
+    for f in [0, 1] {
+        assert_clean(&tas_consensus::build(f), &format!("test-and-set({f})"));
+    }
+    for n in [2, 3, 4] {
+        let sys = protocols::universal::build(Arc::new(TestAndSet), n);
+        assert_clean(&sys, &format!("universal(test-and-set,{n})"));
+    }
+    let sys = protocols::universal::build(Arc::new(FetchAndAdd::modulo(16)), 3);
+    assert_clean(&sys, "universal(fetch-and-add,3)");
+    let queue = FifoQueue::bounded([Val::Int(7)], 4);
     assert_clean(
-        &protocols::universal::build(Arc::new(TestAndSet), 2),
-        "universal",
+        &protocols::universal::build(Arc::new(queue), 2),
+        "universal(queue,2)",
     );
-    assert_clean(
-        &protocols::message_passing::build_flood_all(2, 1),
-        "flooding",
-    );
-    assert_clean(&protocols::snapshot::build(2, 2), "snapshot");
-    assert_clean(&protocols::fd_boost::build(2), "fd-boost");
-    assert_clean(
-        &protocols::set_boost::build(SetBoostParams {
-            n: 4,
-            k: 2,
-            k_prime: 1,
-        }),
-        "set-boost",
-    );
-    assert_clean(&protocols::derived_fd::build(2), "derived-fd");
+    for (n, f) in [(2, 1), (3, 1), (3, 2)] {
+        let sys = message_passing::build_flood_all(n, f);
+        assert_clean(&sys, &format!("flooding({n},{f})"));
+    }
+    for n in [2, 3] {
+        assert_clean(&snapshot::build(n, 2), &format!("snapshot({n})"));
+    }
+    for n in [2, 3, 4] {
+        assert_clean(&fd_boost::build(n), &format!("fd-boost({n})"));
+    }
+    for (n, k, k_prime) in [(4, 2, 1), (6, 4, 2)] {
+        let sys = protocols::set_boost::build(SetBoostParams { n, k, k_prime });
+        assert_clean(&sys, &format!("set-boost({n},{k},{k_prime})"));
+    }
+    for n in [2, 3] {
+        assert_clean(&derived_fd::build(n), &format!("derived-fd({n})"));
+    }
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! ("unknown") — not the full usage dump, and not a panic — while
 //! well-formed invocations keep their documented exit codes. The
 //! `--symmetry` flag must accept `full`/`off` and produce the same
-//! verdicts either way on an id-symmetric candidate. Out-of-range
+//! verdicts either way on an id-symmetric candidate, and it alone picks
+//! the mode: a `SYMMETRY` environment variable changes nothing. On a
+//! quotient map `check` refuses the process-indexed atoms. Out-of-range
 //! numeric flags and process indices must be refused with one `error:`
 //! line and exit 2 before the library's own assertions can panic, and
 //! so must a flag the subcommand (or `certify`'s chosen construction)
@@ -134,19 +136,26 @@ fn values_is_no_longer_a_symmetry_mode() {
 }
 
 #[test]
-fn stale_symmetry_env_value_is_named_once_on_stderr() {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["witness", "--class", "atomic", "--n", "2", "--f", "0"])
-        .env("SYMMETRY", "values")
+fn census_ignores_the_symmetry_environment_variable() {
+    // An exported SYMMETRY=full used to switch census to the 83-state
+    // quotient; only --symmetry picks the mode now.
+    let args = ["census", "--n", "3", "--f", "1"];
+    let unset = repro(&args);
+    let set = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .env("SYMMETRY", "full")
         .output()
         .expect("repro binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert_eq!(
-        err.lines().filter(|l| l.contains("full|off")).count(),
-        1,
-        "one warning line naming full|off, got: {err:?}"
+    let stdout_of = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(unset.status.code(), Some(0), "{}", stderr_of(&unset));
+    assert!(
+        stdout_of(&unset).contains("188 states"),
+        "{}",
+        stdout_of(&unset)
     );
+    assert_eq!(set.status.code(), unset.status.code());
+    assert_eq!(stdout_of(&set), stdout_of(&unset));
+    assert_eq!(stderr_of(&set), stderr_of(&unset));
 }
 
 /// One `error:` line on stderr, nothing on stdout, exit 2, no panic.
@@ -286,6 +295,79 @@ fn check_refuses_an_out_of_range_failed_index() {
         ],
         "failed(40): process index must be in 0..3",
     );
+}
+
+#[test]
+fn check_refuses_process_indexed_atoms_on_a_quotient() {
+    // `ef(proc_decided(2))` used to HOLD on the quotient with a witness
+    // in which P2 never moves: a representative does not record which
+    // process is which.
+    for atom in ["ef(proc_decided(2))", "ef(failed(0))"] {
+        assert_refused(
+            &[
+                "check",
+                atom,
+                "--class",
+                "atomic",
+                "--n",
+                "3",
+                "--f",
+                "1",
+                "--symmetry",
+                "full",
+            ],
+            "symmetry quotient",
+        );
+    }
+    // The concrete map answers for P2 itself.
+    let out = repro(&[
+        "check",
+        "ef(proc_decided(2))",
+        "--class",
+        "atomic",
+        "--n",
+        "3",
+        "--f",
+        "1",
+        "--symmetry",
+        "off",
+    ]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    assert!(text.contains("task(P2)"), "{text}");
+    // Where the quotient does not apply, `full` explores concretely and
+    // the atoms stay available.
+    let out = repro(&[
+        "check",
+        "ef(proc_decided(2)); ef(failed(0))",
+        "--class",
+        "oblivious",
+        "--n",
+        "3",
+        "--f",
+        "1",
+        "--symmetry",
+        "full",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).is_empty(), "{}", stderr_of(&out));
+}
+
+#[test]
+fn hook_without_a_bivalent_initialization_reports_like_census() {
+    // Used to print the outcome as a usage error (usage dump, exit 2).
+    let hook = repro(&["hook", "--n", "1", "--f", "0"]);
+    let census = repro(&["census", "--n", "1", "--f", "0"]);
+    for out in [&hook, &census] {
+        assert_eq!(out.status.code(), Some(1), "{}", stderr_of(out));
+        assert!(out.stderr.is_empty(), "{}", stderr_of(out));
+    }
+    let text = String::from_utf8_lossy(&hook.stdout);
+    assert!(
+        text.starts_with("no bivalent initialization: AdjacentContradiction"),
+        "{text}"
+    );
+    assert_eq!(hook.stdout, census.stdout);
 }
 
 #[test]

@@ -6,10 +6,29 @@
 //! bivalent initialization (Lemma 4) → hook (Lemma 5/Fig. 3) →
 //! similar pair with opposite valences (Lemma 8) → failing run
 //! (Lemmas 6/7).
+//!
+//! The `doomed_atomic` cases run twice: over the concrete graph and
+//! over its process-permutation quotient (`SymmetryMode::Full`), where
+//! they must reach the same witness.
 
 use analysis::similarity::Refutation;
 use analysis::witness::{find_witness, Bounds, ImpossibilityWitness};
+use ioa::canon::SymmetryMode;
 use protocols::doomed::{doomed_atomic, doomed_atomic_with_registers};
+
+/// The exploration modes every `doomed_atomic` case runs under.
+const MODES: [SymmetryMode; 2] = [SymmetryMode::Off, SymmetryMode::Full];
+
+/// Theorem 2 on `doomed_atomic(n, f)` in both modes: each must refute
+/// the candidate by a termination violation that fails `f + 1`
+/// processes.
+fn assert_refuted_in_both_modes(n: usize, f: usize) {
+    let sys = doomed_atomic(n, f);
+    for mode in MODES {
+        let w = find_witness(&sys, f, Bounds::default().with_symmetry(mode)).unwrap();
+        assert_starvation_witness(&w, f + 1);
+    }
+}
 
 fn assert_starvation_witness<P: system::process::ProcessAutomaton>(
     w: &ImpossibilityWitness<P>,
@@ -34,34 +53,26 @@ fn assert_starvation_witness<P: system::process::ProcessAutomaton>(
 fn theorem2_n2_f0_atomic_object_only() {
     // The FLP special case (f = 0), phrased as boosting: a 0-resilient
     // consensus object cannot yield 1-resilient consensus.
-    let sys = doomed_atomic(2, 0);
-    let w = find_witness(&sys, 0, Bounds::default()).unwrap();
-    assert_starvation_witness(&w, 1);
+    assert_refuted_in_both_modes(2, 0);
 }
 
 #[test]
 fn theorem2_n3_f0() {
-    let sys = doomed_atomic(3, 0);
-    let w = find_witness(&sys, 0, Bounds::default()).unwrap();
-    assert_starvation_witness(&w, 1);
+    assert_refuted_in_both_modes(3, 0);
 }
 
 #[test]
 fn theorem2_n3_f1_the_proper_generalization() {
     // f = 1 > 0 is the case FLP cannot express: the object tolerates
     // one failure, and still cannot be boosted to two.
-    let sys = doomed_atomic(3, 1);
-    let w = find_witness(&sys, 1, Bounds::default()).unwrap();
-    assert_starvation_witness(&w, 2);
+    assert_refuted_in_both_modes(3, 1);
 }
 
 #[test]
 fn theorem2_n4_f2() {
     // Two levels beyond FLP: an object tolerating two failures still
     // cannot be boosted to three.
-    let sys = doomed_atomic(4, 2);
-    let w = find_witness(&sys, 2, Bounds::default()).unwrap();
-    assert_starvation_witness(&w, 3);
+    assert_refuted_in_both_modes(4, 2);
 }
 
 #[test]
@@ -93,15 +104,20 @@ fn theorem2_proof_obligations_as_dsl_properties() {
     // * bivalence of the monotone initialization the proof picks:
     //   both decisions reachable, i.e. `ef(decided(0)) & ef(decided(1))`;
     // * the valence atoms agree with `ValenceMap::valence_id`.
+    //
+    // Every atom is orbit-invariant, so the quotient answers alike.
     use analysis::prop::{evaluate_batch, parse_props, system_vocab, SystemGraph, Verdict};
     use analysis::valence::{Valence, ValenceMap};
     use system::consensus::InputAssignment;
     use system::sched::initialize;
 
-    for (sys, n) in [(doomed_atomic(2, 0), 2), (doomed_atomic(3, 1), 3)] {
+    use SymmetryMode::{Full, Off};
+    for (n, f, mode) in [(2, 0, Off), (2, 0, Full), (3, 1, Off), (3, 1, Full)] {
+        let sys = doomed_atomic(n, f);
         let assignment = InputAssignment::monotone(n, 1);
         let root = initialize(&sys, &assignment);
-        let map = ValenceMap::build(&sys, root, 2_000_000).unwrap();
+        let map = ValenceMap::build_with_symmetry(&sys, root, 2_000_000, 1, mode).unwrap();
+        assert_eq!(map.symmetric(), mode == SymmetryMode::Full, "n={n}");
         let graph = SystemGraph::new(&sys, &map);
         let vocab = system_vocab::<_>(assignment);
         let props = parse_props(
@@ -113,7 +129,7 @@ fn theorem2_proof_obligations_as_dsl_properties() {
         let report = evaluate_batch(&graph, &props);
         assert!(
             report.results.iter().all(|e| e.verdict == Verdict::Holds),
-            "n={n}: {:?}",
+            "n={n}, {mode:?}: {:?}",
             report.results
         );
         // `now(bivalent)` and the legacy classification agree — and so
@@ -127,20 +143,24 @@ fn theorem2_proof_obligations_as_dsl_properties() {
 #[test]
 fn hook_similarity_matches_the_lemma8_case_analysis() {
     use analysis::hook::{find_hook, HookOutcome};
-    use analysis::init::{find_bivalent_init, InitOutcome};
+    use analysis::init::{find_bivalent_init_sym, InitOutcome};
     use analysis::similarity::{analyze_hook, HookSimilarity};
 
     let sys = doomed_atomic(3, 1);
-    let InitOutcome::Bivalent { map, .. } = find_bivalent_init(&sys, 2_000_000).unwrap() else {
-        panic!("Lemma 4 must find a bivalent initialization")
-    };
-    let HookOutcome::Hook(hook) = find_hook(&sys, &map, 20_000) else {
-        panic!("Lemma 5 must find a hook")
-    };
-    // Claim 1: e ≠ e'; and the hook endpoints are j- or k-similar.
-    assert_ne!(hook.e, hook.e_prime);
-    match analyze_hook(&sys, &hook) {
-        HookSimilarity::Direct(_) | HookSimilarity::AfterEPrime(_) => {}
-        other => panic!("Lemma 8 case analysis failed: {other:?}"),
+    for mode in MODES {
+        let InitOutcome::Bivalent { map, .. } =
+            find_bivalent_init_sym(&sys, 2_000_000, mode).unwrap()
+        else {
+            panic!("{mode:?}: Lemma 4 must find a bivalent initialization")
+        };
+        let HookOutcome::Hook(hook) = find_hook(&sys, &map, 20_000) else {
+            panic!("{mode:?}: Lemma 5 must find a hook")
+        };
+        // Claim 1: e ≠ e'; and the hook endpoints are j- or k-similar.
+        assert_ne!(hook.e, hook.e_prime);
+        match analyze_hook(&sys, &hook) {
+            HookSimilarity::Direct(_) | HookSimilarity::AfterEPrime(_) => {}
+            other => panic!("{mode:?}: Lemma 8 case analysis failed: {other:?}"),
+        }
     }
 }
