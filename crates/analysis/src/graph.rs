@@ -139,11 +139,11 @@ pub fn to_dot<P: ProcessAutomaton>(
         if d >= radius {
             continue;
         }
-        for (_, _, s2) in map.successors(s) {
+        for &(_, s2) in map.successors(s) {
             if index[s2.index()].is_none() {
                 index[s2.index()] = Some(ids.len());
-                ids.push(*s2);
-                frontier.push_back((*s2, d + 1));
+                ids.push(s2);
+                frontier.push_back((s2, d + 1));
             }
         }
     }
@@ -188,7 +188,8 @@ pub fn to_dot<P: ProcessAutomaton>(
     }
     for s in &ids {
         let from = index[s.index()].expect("listed nodes are indexed");
-        for (t, _, s2) in map.successors(*s) {
+        for &(k, s2) in map.successors(*s) {
+            let t = &map.tasks()[k as usize];
             if let Some(to) = index[s2.index()] {
                 let is_hook_edge = hook_edges
                     .iter()

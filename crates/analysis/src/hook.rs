@@ -128,29 +128,29 @@ impl<P: ProcessAutomaton> Walk<'_, '_, P> {
             .cloned()
             .collect();
         // `seen` numbers states in discovery order; `parent[id]` is the
-        // step that discovered `id`.
+        // step that discovered `id`, its task an index into `tasks`.
         let mut seen = StateStore::new();
         let (root, _) = seen.intern(from);
-        let mut parent: Vec<Option<(StateId, Task)>> = vec![None];
+        let mut parent: Vec<Option<(StateId, u32)>> = vec![None];
         let mut queue = VecDeque::from([root]);
         let mut succs = Vec::new();
         let mut stats = CacheStats::default();
         while let Some(id) = queue.pop_front() {
             self.packed
                 .expand(&tasks, seen.resolve(id), true, &mut succs, &mut stats);
-            for (t, _, s2) in succs.drain(..) {
+            for (k, s2) in succs.drain(..) {
                 let hash = fx_hash(&s2);
                 let (next, fresh) = seen.intern_prehashed(s2, hash);
                 if !fresh {
                     continue;
                 }
-                parent.push(Some((id, t)));
+                parent.push(Some((id, k)));
                 if pred(seen.resolve(next)) {
                     let mut path = Vec::new();
                     let mut cur = next;
-                    while let Some((prev, task)) = &parent[cur.index()] {
-                        path.push((task.clone(), seen.resolve(cur).clone()));
-                        cur = *prev;
+                    while let Some((prev, k)) = parent[cur.index()] {
+                        path.push((tasks[k as usize].clone(), seen.resolve(cur).clone()));
+                        cur = prev;
                     }
                     path.reverse();
                     return Some(path);

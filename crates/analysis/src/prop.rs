@@ -34,7 +34,7 @@ use crate::valence::{Valence, ValenceMap};
 use ioa::automaton::Automaton;
 use ioa::canon::Perm;
 use ioa::csr::Csr;
-use ioa::explore::ExploredGraph;
+use ioa::explore::{first_edge_task, ExploredGraph};
 use ioa::fixpoint;
 use ioa::store::StateId;
 use spec::{ProcId, Val};
@@ -110,11 +110,11 @@ impl<A: ioa::automaton::Automaton> PropGraph for ExploredGraph<A> {
         self.stats().truncated()
     }
     fn parent_of(&self, id: StateId) -> Option<StateId> {
-        self.discovered_by(id).map(|(p, _, _)| *p)
+        self.parent(id)
     }
     fn for_each_edge(&self, id: StateId, f: &mut dyn FnMut(usize, StateId)) {
-        for (_, _, s2) in self.successors(id) {
-            f(0, *s2);
+        for &(_, s2) in self.successors(id) {
+            f(0, s2);
         }
     }
 }
@@ -122,28 +122,17 @@ impl<A: ioa::automaton::Automaton> PropGraph for ExploredGraph<A> {
 /// The system substrate: a [`ValenceMap`] (the explored `G(C)`) plus
 /// the [`CompleteSystem`] it was built from, giving atoms access to
 /// valence tables, decisions, failure masks and task applicability.
+/// A task lane is an edge's own task index into
+/// [`ValenceMap::tasks`].
 pub struct SystemGraph<'a, P: ProcessAutomaton> {
     sys: &'a CompleteSystem<P>,
     map: &'a ValenceMap<P>,
-    tasks: Vec<Task>,
-    lane_of: HashMap<Task, usize>,
 }
 
 impl<'a, P: ProcessAutomaton> SystemGraph<'a, P> {
     /// Wraps an explored valence map as a property substrate.
     pub fn new(sys: &'a CompleteSystem<P>, map: &'a ValenceMap<P>) -> Self {
-        let tasks = sys.tasks();
-        let lane_of = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i))
-            .collect();
-        SystemGraph {
-            sys,
-            map,
-            tasks,
-            lane_of,
-        }
+        SystemGraph { sys, map }
     }
 
     /// The underlying system.
@@ -157,25 +146,27 @@ impl<'a, P: ProcessAutomaton> SystemGraph<'a, P> {
     }
 
     /// The tasks fired along a witness path of adjacent ids — the form
-    /// the `replay` pipeline consumes. Adjacent ids must be connected
-    /// in `G(C)`; with parallel edges the first matching task is taken
-    /// (BFS-tree witness paths are discovery steps, so this reproduces
-    /// the discovering task).
+    /// the `replay` pipeline consumes — read off the edges' task
+    /// indices. Adjacent ids must be connected in `G(C)`; with parallel
+    /// edges the first matching task is taken ([`first_edge_task`]:
+    /// BFS-tree witness paths are discovery steps, and the first edge
+    /// in a parent's row reaching a child is the one that discovered
+    /// it, so this reproduces the discovering task).
     ///
     /// # Panics
     ///
     /// Panics if consecutive ids are not adjacent in the graph.
     pub fn tasks_along(&self, path: &[StateId]) -> Vec<Task> {
         path.windows(2)
-            .map(|w| {
-                self.map
-                    .successors(w[0])
-                    .iter()
-                    .find(|(_, _, s2)| *s2 == w[1])
-                    .map(|(t, _, _)| t.clone())
-                    .expect("witness path ids must be adjacent in G(C)")
-            })
+            .map(|w| self.step_task(w[0], w[1]))
             .collect()
+    }
+
+    /// The task of the first edge from `from` to `to`.
+    fn step_task(&self, from: StateId, to: StateId) -> Task {
+        first_edge_task(self.map.tasks(), self.map.successors(from), to)
+            .expect("witness path ids must be adjacent in G(C)")
+            .clone()
     }
 
     /// Lifts a witness path of graph ids to a concrete execution: the
@@ -219,13 +210,7 @@ impl<'a, P: ProcessAutomaton> SystemGraph<'a, P> {
         let mut tau = Perm::identity(self.sys.process_count());
         states.push(concrete.clone());
         for w in path.windows(2) {
-            let rep_task = self
-                .map
-                .successors(w[0])
-                .iter()
-                .find(|(_, _, s2)| *s2 == w[1])
-                .map(|(t, _, _)| t.clone())
-                .expect("witness path ids must be adjacent in G(C)");
+            let rep_task = self.step_task(w[0], w[1]);
             let concrete_task = permute_task(&tau.inverse(), &rep_task);
             let next_rep = self.map.resolve(w[1]);
             // Among the concrete successors, take the one whose orbit
@@ -270,18 +255,19 @@ impl<P: ProcessAutomaton> PropGraph for SystemGraph<'_, P> {
         self.map.stats().truncated()
     }
     fn parent_of(&self, id: StateId) -> Option<StateId> {
-        self.map.discovered_by(id).map(|(p, _, _)| *p)
+        self.map.parent(id)
     }
     fn for_each_edge(&self, id: StateId, f: &mut dyn FnMut(usize, StateId)) {
-        for (t, _, s2) in self.map.successors(id) {
-            f(self.lane_of[t], *s2);
+        for &(k, s2) in self.map.successors(id) {
+            f(k as usize, s2);
         }
     }
     fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.map.tasks().len()
     }
     fn task_applicable(&self, lane: usize, id: StateId) -> bool {
-        self.sys.applicable(&self.tasks[lane], self.map.resolve(id))
+        self.sys
+            .applicable(&self.map.tasks()[lane], self.map.resolve(id))
     }
 }
 

@@ -10,7 +10,9 @@
 //! the graph `G(C)` (Section 3.3) followed by a backward fixpoint.
 //!
 //! The reachable graph is interned once per root as an
-//! [`ExploredGraph`] over dense [`StateId`]s of packed states, and the
+//! [`ExploredGraph`] over dense [`StateId`]s of packed states, its
+//! edges `(task index, successor)` pairs with no action
+//! ([`ioa::explore::Edge`]), and the
 //! reachable-decision masks and valence table are flat `Vec`s indexed
 //! by id. Every downstream pass — the Lemma 4 initialization scan, the
 //! Lemma 5 hook construction, the `G(C)` census, the witness safety
@@ -22,7 +24,7 @@
 //! ([`ValenceMap::packed_id_of`], [`ValenceMap::has_decided_packed`]).
 
 use ioa::canon::{SymGroup, SymmetryMode};
-use ioa::explore::{ExploreOptions, ExploreStats, ExploredGraph};
+use ioa::explore::{Edge, ExploreOptions, ExploreStats, ExploredGraph};
 use ioa::store::{StateId, StateStore};
 use ioa::Csr;
 use spec::{ProcId, Val};
@@ -31,7 +33,7 @@ use std::sync::OnceLock;
 use system::build::{CompleteSystem, SystemState};
 use system::packed::{canonical_system_state, Decoder, PackedState, PackedSystem};
 use system::process::ProcessAutomaton;
-use system::{Action, Task};
+use system::Task;
 
 /// The valence of a finite failure-free input-first execution
 /// (equivalently, of its final state — the extension set depends only
@@ -132,19 +134,21 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     /// [`ValenceMap::resolve`].
     decoded: Vec<OnceLock<Box<SystemState<P::State>>>>,
     root: StateId,
-    /// Flat CSR adjacency: row `id` holds the `(task, action,
-    /// successor)` transitions out of `id`, in task order. One
+    /// The system's tasks, in the order edges index them.
+    tasks: Vec<Task>,
+    /// Flat CSR adjacency: row `id` holds the `(task index, successor)`
+    /// transitions out of `id`, in task order, with no action. One
     /// contiguous edge arena instead of a `Vec` per state, so the
-    /// census scan, the hook BFS and the witness safety sweep walk
-    /// contiguous memory.
-    edges: Csr<(Task, Action, StateId)>,
+    /// census scan and the property evaluator walk contiguous memory.
+    edges: Csr<Edge>,
     /// Reverse CSR: row `id` holds the predecessors of `id`, one entry
     /// per forward edge, in `(source, position)` order. Drives the
     /// backward valence fixpoint and is exposed via
     /// [`ValenceMap::predecessors`].
     preds: Csr<StateId>,
-    /// BFS tree: the step that first discovered each non-root state.
-    parent: Vec<Option<(StateId, Task, Action)>>,
+    /// BFS tree: the predecessor that first discovered each non-root
+    /// state.
+    parent: Vec<Option<StateId>>,
     stats: ExploreStats,
     /// `decisions[pc]` = the decision recorded by process component
     /// `pc`, for every process component interned when the map was
@@ -272,7 +276,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         // Reverse CSR: one counting-sort transpose of the flat edge
         // arena (no per-state `Vec` allocations).
         let preds: Csr<StateId> =
-            edges.reversed(|e| e.2.index(), |src, _| StateId::from_index(src));
+            edges.reversed(|e| e.1.index(), |src, _| StateId::from_index(src));
 
         // Decisions are recorded in process states (Section 2.2.1), so
         // a state's own decisions are a function of its process
@@ -350,6 +354,7 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             decoder,
             decoded,
             root: root_id,
+            tasks: parts.tasks,
             edges,
             preds,
             parent: parts.parent,
@@ -406,9 +411,10 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     /// `(peak_interned_states, arena_bytes)`. The state store only ever
     /// grows, so the final count *is* the peak. Bytes sum the inline
     /// sizes of every retained arena — the packed states with their
-    /// component-id slots, one decode slot per state, both CSR edge
-    /// arenas, the BFS tree, the reachable-decision masks and valence
-    /// array, the per-component decision table and the per-mask
+    /// component-id slots, one decode slot per state, the task list,
+    /// both CSR edge arenas (8-byte [`Edge`]s forward, ids backward),
+    /// the BFS tree's parent ids, the reachable-decision masks and
+    /// valence array, the per-component decision table and the per-mask
     /// decision sets. Heap owned *behind* those (the shared component
     /// sub-arenas, states decoded on demand, deep `Val`s) is
     /// deliberately not traversed: the figure is a stable, allocator-
@@ -424,9 +430,10 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
             .map(|ps| size_of::<PackedState>() + size_of_val(ps.comps()))
             .sum::<usize>()
             + self.decoded.len() * size_of::<OnceLock<Box<SystemState<P::State>>>>()
-            + self.edges.entry_count() * size_of::<(Task, Action, StateId)>()
+            + self.tasks.len() * size_of::<Task>()
+            + self.edges.entry_count() * size_of::<Edge>()
             + self.preds.entry_count() * size_of::<StateId>()
-            + self.parent.len() * size_of::<Option<(StateId, Task, Action)>>()
+            + self.parent.len() * size_of::<Option<StateId>>()
             + self.reach.len() * size_of::<u64>()
             + self.valence.len() * size_of::<Valence>()
             + self.decisions.len() * size_of::<Option<Val>>()
@@ -447,9 +454,10 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         self.decoded.iter().filter(|s| s.get().is_some()).count()
     }
 
-    /// The BFS-tree step that first discovered `id` (`None` for roots).
-    pub fn discovered_by(&self, id: StateId) -> Option<&(StateId, Task, Action)> {
-        self.parent[id.index()].as_ref()
+    /// The BFS-tree parent that first discovered `id` (`None` for the
+    /// root).
+    pub fn parent(&self, id: StateId) -> Option<StateId> {
+        self.parent[id.index()]
     }
 
     /// Whether the map is an orbit quotient (built under a reducing
@@ -595,10 +603,15 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
         &self.valence
     }
 
-    /// The `(task, action, successor)` edges out of `id` in `G(C)`
-    /// (self-loops excluded) — a slice of the contiguous CSR arena.
+    /// The system's tasks, in the order [`Edge`]s index them.
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
+    /// The edges out of `id` in `G(C)` (self-loops excluded) — a slice
+    /// of the contiguous CSR arena.
     #[inline]
-    pub fn successors(&self, id: StateId) -> &[(Task, Action, StateId)] {
+    pub fn successors(&self, id: StateId) -> &[Edge] {
         self.edges.row(id.index())
     }
 
@@ -608,31 +621,6 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     #[inline]
     pub fn predecessors(&self, id: StateId) -> &[StateId] {
         self.preds.row(id.index())
-    }
-
-    /// The deterministic successor of `s` under task `t` within the
-    /// explored graph, if `t` is applicable (the `e(α)` operation of
-    /// Section 3.1, restricted to non-self-loop progress edges).
-    ///
-    /// Resolved against the graph's own edge lists, not the system's
-    /// transition function: a task whose only move is a self-loop (a
-    /// stutter, pruned at exploration time) and a state outside the
-    /// explored space both answer `None`, so the successor is always
-    /// safe to feed back into [`ValenceMap::valence`].
-    ///
-    /// In a quotient map the returned successor is the *orbit
-    /// representative* of the concrete successor — and when `s` itself
-    /// resolved via its representative, the edge followed is the
-    /// representative's. Callers that need a concrete (per-path) walk,
-    /// like the hook search, step [`ValenceMap::packed_system`] instead
-    /// and use the map only as a valence and decision oracle
-    /// ([`ValenceMap::packed_id_of`]).
-    pub fn apply(&self, t: &Task, s: &SystemState<P::State>) -> Option<SystemState<P::State>> {
-        let id = self.id_of(s)?;
-        self.successors(id)
-            .iter()
-            .find(|(t2, _, _)| t2 == t)
-            .map(|(_, _, s2)| self.resolve(*s2).clone())
     }
 }
 
@@ -683,12 +671,17 @@ mod tests {
         let s = initialize(&sys, &InputAssignment::monotone(2, 1));
         let map = ValenceMap::build(&sys, s.clone(), 100_000).unwrap();
         assert_eq!(map.valence(&s), Valence::Bivalent);
+        // The target of task `t`'s edge out of `id`.
+        let step = |id: StateId, t: &Task| {
+            map.successors(id)
+                .iter()
+                .find(|&&(k, _)| map.tasks()[k as usize] == *t)
+                .map(|&(_, s2)| s2)
+        };
         // Let P0 (input 1) reach the object first: commits to 1.
-        let s = map.apply(&Task::Proc(ProcId(0)), &s).expect("invoke step");
-        let s = map
-            .apply(&Task::Perform(SvcId(0), ProcId(0)), &s)
-            .expect("perform step");
-        assert_eq!(map.valence(&s), Valence::One);
+        let id = step(map.root_id(), &Task::Proc(ProcId(0))).expect("invoke step");
+        let id = step(id, &Task::Perform(SvcId(0), ProcId(0))).expect("perform step");
+        assert_eq!(map.valence_id(id), Valence::One);
     }
 
     #[test]
@@ -780,11 +773,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_answers_none_on_stutters_and_off_graph() {
-        // Regression: apply used to call sys.succ_det directly, so a
-        // task whose only move is a Skip self-loop (pruned from G(C))
-        // produced a "successor", and a foreign state produced one
-        // whose valence() lookup then panicked.
+    fn stutters_have_no_progress_edge() {
+        // A task whose only move is a Skip self-loop has no edge in
+        // G(C), although the system's transition still exists.
         let sys = direct(2, 0);
         let s = initialize(&sys, &InputAssignment::monotone(2, 1));
         let map = ValenceMap::build(&sys, s, 100_000).unwrap();
@@ -792,15 +783,11 @@ mod tests {
             .ids()
             .find(|&id| map.successors(id).is_empty())
             .expect("a fully decided state has no progress edges");
-        let term_state = map.resolve(terminal).clone();
-        let t = Task::Proc(ProcId(0));
         assert!(
-            sys.succ_det(&t, &term_state).is_some(),
+            sys.succ_det(&Task::Proc(ProcId(0)), map.resolve(terminal))
+                .is_some(),
             "the stutter transition itself still exists"
         );
-        assert_eq!(map.apply(&t, &term_state), None);
-        let foreign = initialize(&sys, &InputAssignment::monotone(2, 2));
-        assert_eq!(map.apply(&t, &foreign), None);
     }
 
     #[test]

@@ -181,6 +181,7 @@ fn assert_maps_bit_identical<P: system::process::ProcessAutomaton>(
 ) {
     assert_eq!(a.stats(), b.stats(), "stats differ: {ctx}");
     assert_eq!(a.root_id(), b.root_id(), "roots differ: {ctx}");
+    assert_eq!(a.tasks(), b.tasks(), "task lists differ: {ctx}");
     assert_eq!(
         a.state_count(),
         b.state_count(),
@@ -189,11 +190,7 @@ fn assert_maps_bit_identical<P: system::process::ProcessAutomaton>(
     for id in a.ids() {
         assert_eq!(a.resolve(id), b.resolve(id), "state {id:?}: {ctx}");
         assert_eq!(a.successors(id), b.successors(id), "edges {id:?}: {ctx}");
-        assert_eq!(
-            a.discovered_by(id),
-            b.discovered_by(id),
-            "parent {id:?}: {ctx}"
-        );
+        assert_eq!(a.parent(id), b.parent(id), "parent {id:?}: {ctx}");
         assert_eq!(a.valence_id(id), b.valence_id(id), "valence {id:?}: {ctx}");
         assert_eq!(
             a.reachable_decisions_id(id),
@@ -230,6 +227,7 @@ fn packed_exploration_matches_deep_exploration_bit_for_bit() {
         let ctx = format!("{name} cap={cap}");
         assert_eq!(deep.stats(), pk.stats(), "stats differ: {ctx}");
         assert_eq!(deep.roots(), pk.roots(), "roots differ: {ctx}");
+        assert_eq!(deep.tasks(), pk.tasks(), "task lists differ: {ctx}");
         for id in deep.ids() {
             assert_eq!(
                 deep.resolve(id),
@@ -241,11 +239,7 @@ fn packed_exploration_matches_deep_exploration_bit_for_bit() {
                 pk.successors(id),
                 "edges {id:?}: {ctx}"
             );
-            assert_eq!(
-                deep.discovered_by(id),
-                pk.discovered_by(id),
-                "parent {id:?}: {ctx}"
-            );
+            assert_eq!(deep.parent(id), pk.parent(id), "parent {id:?}: {ctx}");
         }
     }
 
@@ -307,6 +301,7 @@ fn cached_exploration_matches_uncached_bit_for_bit() {
             .unwrap_or_else(|| panic!("cached run reported no cache census: {ctx}"));
         assert!(cs.lookups() > 0, "cache never consulted: {ctx}");
         assert_eq!(base.roots(), ck.roots(), "roots differ: {ctx}");
+        assert_eq!(base.tasks(), ck.tasks(), "task lists differ: {ctx}");
         for id in base.ids() {
             assert_eq!(
                 &cached.decode(ck.resolve(id)),
@@ -318,11 +313,7 @@ fn cached_exploration_matches_uncached_bit_for_bit() {
                 ck.successors(id),
                 "edges {id:?}: {ctx}"
             );
-            assert_eq!(
-                base.discovered_by(id),
-                ck.discovered_by(id),
-                "parent {id:?}: {ctx}"
-            );
+            assert_eq!(base.parent(id), ck.parent(id), "parent {id:?}: {ctx}");
         }
     }
 
@@ -345,8 +336,9 @@ fn cached_exploration_matches_uncached_bit_for_bit() {
 }
 
 /// The CSR edge arena must hold exactly the adjacency the transition
-/// function defines: row `id` = the non-self-loop `(task, action,
-/// successor)` triples of `succ_all`, in task order — and the reverse
+/// function defines: row `id` = the non-self-loop `(task index,
+/// successor)` pairs of `succ_all`, in task order, the index into the
+/// system's task list — and the reverse
 /// CSR must be its exact transpose, predecessors listed in
 /// `(source id, edge position)` order.
 #[test]
@@ -359,22 +351,23 @@ fn csr_rows_match_direct_succ_all_and_reverse_is_the_transpose() {
         let root = initialize(&sys, &InputAssignment::monotone(n, 1));
         let map = ValenceMap::build(&sys, root, 1_000_000).unwrap();
         let tasks = sys.tasks();
+        assert_eq!(map.tasks(), tasks.as_slice(), "{name} task list");
 
         let mut naive_preds: Vec<Vec<ioa::StateId>> = vec![Vec::new(); map.state_count()];
         for id in map.ids() {
             // Forward row: recompute from the transition function.
             let mut expect = Vec::new();
             let s = map.resolve(id).clone();
-            for t in &tasks {
-                for (a, s2) in sys.succ_all(t, &s) {
+            for (k, t) in (0..).zip(&tasks) {
+                for (_, s2) in sys.succ_all(t, &s) {
                     if s2 != s {
                         let id2 = map.id_of(&s2).expect("successors are explored");
-                        expect.push((t.clone(), a, id2));
+                        expect.push((k, id2));
                     }
                 }
             }
             assert_eq!(map.successors(id), expect.as_slice(), "{name} row {id:?}");
-            for (_, _, id2) in map.successors(id) {
+            for (_, id2) in map.successors(id) {
                 naive_preds[id2.index()].push(id);
             }
         }

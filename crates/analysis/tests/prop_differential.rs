@@ -8,8 +8,8 @@
 //!   computed directly on the explored graph (id-order safety scan,
 //!   forward BFS reachability, backward `AF` least fixpoint);
 //! * **witnesses** — id-based witness paths are bit-identical to the
-//!   legacy discovery chains (`discovered_by` parent walks), which are
-//!   the shortest paths the seed reported;
+//!   legacy discovery chains (BFS-tree parent walks), which are the
+//!   shortest paths the seed reported;
 //! * **fusion** — the batch evaluator returns exactly the singleton
 //!   evaluations while spending at most one forward and one backward
 //!   CSR traversal per graph (the pass-counter gate CI runs).
@@ -37,10 +37,10 @@ fn naive_distances<P: ProcessAutomaton>(map: &ValenceMap<P>) -> Vec<Option<usize
     let mut queue = VecDeque::from([root]);
     while let Some(u) = queue.pop_front() {
         let d = dist[u.index()].unwrap();
-        for (_, _, v) in map.successors(u) {
+        for &(_, v) in map.successors(u) {
             if dist[v.index()].is_none() {
                 dist[v.index()] = Some(d + 1);
-                queue.push_back(*v);
+                queue.push_back(v);
             }
         }
     }
@@ -58,7 +58,7 @@ fn naive_af<P: ProcessAutomaton>(map: &ValenceMap<P>, goal: &[bool]) -> Vec<bool
                 continue;
             }
             let succs = map.successors(id);
-            if !succs.is_empty() && succs.iter().all(|(_, _, v)| af[v.index()]) {
+            if !succs.is_empty() && succs.iter().all(|(_, v)| af[v.index()]) {
                 af[id.index()] = true;
                 changed = true;
             }
@@ -69,13 +69,13 @@ fn naive_af<P: ProcessAutomaton>(map: &ValenceMap<P>, goal: &[bool]) -> Vec<bool
     }
 }
 
-/// The legacy discovery chain to `id`: the `discovered_by` parent walk
-/// the seed's path reconstruction used.
+/// The legacy discovery chain to `id`: the BFS-tree parent walk the
+/// seed's path reconstruction used.
 fn legacy_chain<P: ProcessAutomaton>(map: &ValenceMap<P>, id: StateId) -> Vec<StateId> {
     let mut path = vec![id];
     let mut cur = id;
-    while let Some((parent, _, _)) = map.discovered_by(cur) {
-        cur = *parent;
+    while let Some(parent) = map.parent(cur) {
+        cur = parent;
         path.push(cur);
     }
     path.reverse();
@@ -194,7 +194,7 @@ fn pin_system<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize) {
         assert_eq!(path[0], map.root_id());
         for w in path.windows(2) {
             assert!(
-                map.successors(w[0]).iter().any(|(_, _, v)| *v == w[1]),
+                map.successors(w[0]).iter().any(|&(_, v)| v == w[1]),
                 "witness step not an edge"
             );
         }
@@ -203,7 +203,7 @@ fn pin_system<P: ProcessAutomaton>(sys: &CompleteSystem<P>, ones: usize) {
             None => assert!(map.successors(*path.last().unwrap()).is_empty()),
             Some(k) => {
                 let last = *path.last().unwrap();
-                assert!(map.successors(last).iter().any(|(_, _, v)| *v == path[k]));
+                assert!(map.successors(last).iter().any(|&(_, v)| v == path[k]));
             }
         }
     }

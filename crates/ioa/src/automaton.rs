@@ -161,9 +161,10 @@ pub trait Automaton: Sync {
     }
 
     /// Appends every transition of every task in `tasks` from `s` to
-    /// `out` as `(task, action, state')`: task order first, then each
-    /// task's [`Automaton::succ_all`] branch order. With
-    /// `skip_self_loops`, transitions back to `s` are left out.
+    /// `out` as `(k, state')`, where `tasks[k]` is the transition's
+    /// task: task order first, then each task's
+    /// [`Automaton::succ_all`] branch order. With `skip_self_loops`,
+    /// transitions back to `s` are left out. No action is built.
     ///
     /// This is the explorer's one call per expanded state. An
     /// implementation that keeps a transition cache adds one hit or
@@ -178,7 +179,7 @@ pub trait Automaton: Sync {
         tasks: &[Self::Task],
         s: &Self::State,
         skip_self_loops: bool,
-        out: &mut Vec<(Self::Task, Self::Action, Self::State)>,
+        out: &mut Vec<(u32, Self::State)>,
         stats: &mut CacheStats,
     ) {
         let _ = stats;
@@ -242,14 +243,14 @@ pub fn expand_per_task<A: Automaton + ?Sized>(
     tasks: &[A::Task],
     s: &A::State,
     skip_self_loops: bool,
-    out: &mut Vec<(A::Task, A::Action, A::State)>,
+    out: &mut Vec<(u32, A::State)>,
 ) {
-    for t in tasks {
-        for (a, s2) in aut.succ_all(t, s) {
+    for (k, t) in (0..).zip(tasks) {
+        for (_, s2) in aut.succ_all(t, s) {
             if skip_self_loops && &s2 == s {
                 continue;
             }
-            out.push((t.clone(), a, s2));
+            out.push((k, s2));
         }
     }
 }

@@ -50,17 +50,6 @@ impl<E> Csr<E> {
         Self::default()
     }
 
-    /// An empty table with room for `rows` rows and `entries` entries.
-    #[must_use]
-    pub fn with_capacity(rows: usize, entries: usize) -> Self {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        Csr {
-            offsets,
-            entries: Vec::with_capacity(entries),
-        }
-    }
-
     /// Append an entry to the currently open row.
     ///
     /// # Panics
@@ -102,13 +91,6 @@ impl<E> Csr<E> {
     #[must_use]
     pub fn row(&self, i: usize) -> &[E] {
         &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// All entries of all rows, contiguously, in row order — the flat
-    /// view whole-graph sweeps walk.
-    #[must_use]
-    pub fn flat(&self) -> &[E] {
-        &self.entries
     }
 
     /// Iterate `(row, &entry)` over every entry of every closed row.
@@ -188,7 +170,6 @@ mod tests {
         assert_eq!(c.row(0), &[10, 11]);
         assert_eq!(c.row(1), &[] as &[u32]);
         assert_eq!(c.row(2), &[12]);
-        assert_eq!(c.flat(), &[10, 11, 12]);
     }
 
     #[test]

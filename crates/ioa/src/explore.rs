@@ -8,7 +8,11 @@
 //! all id-keyed — each distinct state is deep-cloned and deep-hashed
 //! exactly once, at first sight, instead of once per visit/per edge as
 //! in a state-keyed BFS. Downstream passes (valence census, hook
-//! search, witness scans) index flat `Vec`s by id. Reachability is
+//! search, witness scans) index flat `Vec`s by id. An [`Edge`] is a task
+//! index and a target id: the source and the task fix the action
+//! (Section 3.1), and no proof object reads it. The BFS tree keeps one
+//! parent id per state; [`first_edge_task`] recovers the discovering
+//! task. Reachability is
 //! [`ExploredGraph::contains`]; a first-match query is `ids().find(..)`
 //! followed by [`ExploredGraph::path_to`], which, ids following
 //! discovery order, is the match a BFS meets first, reached along a
@@ -192,13 +196,14 @@ impl ExploreOptions {
     }
 }
 
-/// One retained transition out of an interned state:
-/// `(task, action, successor id)`.
-pub type Edge<A> = (<A as Automaton>::Task, <A as Automaton>::Action, StateId);
+/// One retained transition out of an interned state: `(k, successor
+/// id)`, where `k` indexes the graph's task list
+/// ([`ExploredGraph::tasks`]).
+pub type Edge = (u32, StateId);
 
-/// The BFS-tree link that first discovered a state:
-/// `(predecessor id, task, action)`.
-pub type Discovery<A> = (StateId, <A as Automaton>::Task, <A as Automaton>::Action);
+// An edge and a BFS-tree slot each fit in 8 bytes.
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
+const _: () = assert!(std::mem::size_of::<Option<StateId>>() <= 8);
 
 /// The interned reachable graph of an automaton from a set of roots:
 /// the paper's `G(C)` (Section 3.3) with states replaced by dense
@@ -211,13 +216,15 @@ pub type Discovery<A> = (StateId, <A as Automaton>::Task, <A as Automaton>::Acti
 pub struct ExploredGraph<A: Automaton> {
     store: StateStore<A::State>,
     roots: Vec<StateId>,
-    /// Flat CSR adjacency: row `id` holds the retained
-    /// `(task, action, successor)` transitions out of state `id`, in
-    /// task order. One contiguous edge array for the whole graph.
-    edges: Csr<Edge<A>>,
-    /// BFS tree: for each non-root state, the (predecessor, task,
-    /// action) that first discovered it.
-    parent: Vec<Option<Discovery<A>>>,
+    /// The automaton's tasks, in its canonical order; edges index it.
+    tasks: Vec<A::Task>,
+    /// Flat CSR adjacency: row `id` holds the retained transitions out
+    /// of state `id`, in task order. One contiguous edge array for the
+    /// whole graph.
+    edges: Csr<Edge>,
+    /// BFS tree: for each non-root state, the predecessor that first
+    /// discovered it.
+    parent: Vec<Option<StateId>>,
     stats: ExploreStats,
 }
 
@@ -250,7 +257,7 @@ impl<A: Automaton> ExploredGraph<A> {
         // (e.g. one `PackedSystem` across the Lemma 4 walk) serves
         // several interleaved workloads.
         let track_cache = aut.cache_stats().is_some();
-        let mut b = Builder::new(&roots);
+        let mut b = Builder::new(aut.tasks(), &roots);
         b.expand_sequential(aut, opts);
         let scoped = b.cache;
         let mut g = b.finish(opts);
@@ -307,10 +314,16 @@ impl<A: Automaton> ExploredGraph<A> {
         self.store.get(state).is_some()
     }
 
+    /// The automaton's tasks, in the order edges index them.
+    #[must_use]
+    pub fn tasks(&self) -> &[A::Task] {
+        &self.tasks
+    }
+
     /// The retained transitions out of `id`, in task order.
     #[inline]
     #[must_use]
-    pub fn successors(&self, id: StateId) -> &[(A::Task, A::Action, StateId)] {
+    pub fn successors(&self, id: StateId) -> &[Edge] {
         self.edges.row(id.index())
     }
 
@@ -319,21 +332,23 @@ impl<A: Automaton> ExploredGraph<A> {
         self.store.ids()
     }
 
-    /// The BFS-tree step that first discovered `id` (`None` for roots).
+    /// The BFS-tree parent that first discovered `id` (`None` for
+    /// roots).
     #[must_use]
-    pub fn discovered_by(&self, id: StateId) -> Option<&(StateId, A::Task, A::Action)> {
-        self.parent[id.index()].as_ref()
+    pub fn parent(&self, id: StateId) -> Option<StateId> {
+        self.parent[id.index()]
     }
 
-    /// Decompose the graph into its owned parts — arena, roots, edge
-    /// lists, BFS tree and stats — so a caller can re-encode the states
-    /// (e.g. decode packed component ids back into concrete system
-    /// states) without cloning the adjacency structure.
+    /// Decompose the graph into its owned parts — arena, roots, task
+    /// list, edge lists, BFS tree and stats — so a caller can re-encode
+    /// the states (e.g. decode packed component ids back into concrete
+    /// system states) without cloning the adjacency structure.
     #[must_use]
     pub fn into_parts(self) -> GraphParts<A> {
         GraphParts {
             store: self.store,
             roots: self.roots,
+            tasks: self.tasks,
             edges: self.edges,
             parent: self.parent,
             stats: self.stats,
@@ -341,18 +356,31 @@ impl<A: Automaton> ExploredGraph<A> {
     }
 
     /// A shortest path (in the BFS tree) from some root to `id`, as
-    /// `(task, action, resulting state)` steps.
+    /// `(task, resulting state)` steps.
     #[must_use]
     pub fn path_to(&self, id: StateId) -> Path<A> {
         let mut path = Vec::new();
         let mut cur = id;
-        while let Some((prev, t, a)) = &self.parent[cur.index()] {
-            path.push((t.clone(), a.clone(), self.store.resolve(cur).clone()));
-            cur = *prev;
+        while let Some(prev) = self.parent(cur) {
+            let t = first_edge_task(&self.tasks, self.successors(prev), cur)
+                .expect("a BFS-tree link is an edge");
+            path.push((t.clone(), self.store.resolve(cur).clone()));
+            cur = prev;
         }
         path.reverse();
         path
     }
+}
+
+/// The task of the first edge in `row` reaching `to`, `tasks` being
+/// the list the row's task indices point into. With parallel edges
+/// that is the first in task order, which for a BFS-tree link is the
+/// task that discovered `to`.
+#[must_use]
+pub fn first_edge_task<'t, T>(tasks: &'t [T], row: &[Edge], to: StateId) -> Option<&'t T> {
+    row.iter()
+        .find(|&&(_, s2)| s2 == to)
+        .map(|&(k, _)| &tasks[k as usize])
 }
 
 /// The owned pieces of an [`ExploredGraph`], produced by
@@ -363,11 +391,14 @@ pub struct GraphParts<A: Automaton> {
     pub store: StateStore<A::State>,
     /// The root ids, in the order the roots were given.
     pub roots: Vec<StateId>,
-    /// Flat CSR adjacency: row `id` holds the `(task, action,
-    /// successor)` transitions out of state `id`, in task order.
-    pub edges: Csr<Edge<A>>,
-    /// BFS tree: the step that first discovered each non-root state.
-    pub parent: Vec<Option<Discovery<A>>>,
+    /// The automaton's tasks, in the order edges index them.
+    pub tasks: Vec<A::Task>,
+    /// Flat CSR adjacency: row `id` holds the transitions out of state
+    /// `id`, in task order.
+    pub edges: Csr<Edge>,
+    /// BFS tree: the predecessor that first discovered each non-root
+    /// state.
+    pub parent: Vec<Option<StateId>>,
     /// Exploration census: states, edges, peak frontier, truncation.
     pub stats: ExploreStats,
 }
@@ -376,13 +407,14 @@ pub struct GraphParts<A: Automaton> {
 struct Builder<A: Automaton> {
     store: StateStore<A::State>,
     root_ids: Vec<StateId>,
+    tasks: Vec<A::Task>,
     /// CSR adjacency under construction. Sources are expanded in
     /// strictly increasing id order (BFS pops a monotone queue), so the
     /// open CSR row is always the row of the source currently being
     /// expanded, and closing it after the source's last successor lays
     /// rows out in id order with no repacking pass.
-    edges: Csr<Edge<A>>,
-    parent: Vec<Option<Discovery<A>>>,
+    edges: Csr<Edge>,
+    parent: Vec<Option<StateId>>,
     queue: VecDeque<StateId>,
     edge_count: usize,
     dropped_edges: usize,
@@ -393,20 +425,12 @@ struct Builder<A: Automaton> {
     cache: CacheStats,
 }
 
-/// One successor of an expanded state, paired with its precomputed
-/// fx hash (so interning never re-hashes).
-type Succ<A> = (
-    <A as Automaton>::Task,
-    <A as Automaton>::Action,
-    <A as Automaton>::State,
-    u64,
-);
-
 impl<A: Automaton> Builder<A> {
-    fn new(roots: &[A::State]) -> Self {
+    fn new(tasks: Vec<A::Task>, roots: &[A::State]) -> Self {
         let mut b = Builder {
             store: StateStore::new(),
             root_ids: Vec::with_capacity(roots.len()),
+            tasks,
             edges: Csr::new(),
             parent: Vec::new(),
             queue: VecDeque::new(),
@@ -427,15 +451,14 @@ impl<A: Automaton> Builder<A> {
         b
     }
 
-    /// Record one discovered transition `src -(t, a)-> s2`: intern
+    /// Record one discovered transition `src -(tasks[k])-> s2`: intern
     /// (budget-checked), extend the parent map on first sight, drop and
     /// count the edge on budget exhaustion. Returns the successor's id when it was freshly
     /// admitted (the caller owns the frontier and enqueues it).
     fn admit(
         &mut self,
         src: StateId,
-        t: A::Task,
-        a: A::Action,
+        k: u32,
         s2: A::State,
         hash: u64,
         cap: usize,
@@ -443,10 +466,10 @@ impl<A: Automaton> Builder<A> {
         match self.store.try_intern_prehashed(s2, hash, cap) {
             Some((id2, fresh)) => {
                 if fresh {
-                    self.parent.push(Some((src, t.clone(), a.clone())));
+                    self.parent.push(Some(src));
                 }
                 // The open CSR row is src's row by the edges invariant.
-                self.edges.push((t, a, id2));
+                self.edges.push((k, id2));
                 self.edge_count += 1;
                 fresh.then_some(id2)
             }
@@ -471,27 +494,34 @@ impl<A: Automaton> Builder<A> {
     /// (`canonical(s2) == s`, the successor permuting back onto its
     /// canonical source) are dropped after it.
     fn expand_sequential(&mut self, aut: &A, opts: ExploreOptions) {
-        let tasks = aut.tasks();
         let canon = opts.symmetry.reduces();
-        let mut raw: Vec<(A::Task, A::Action, A::State)> = Vec::new();
-        let mut succs: Vec<Succ<A>> = Vec::new();
+        let mut raw: Vec<(u32, A::State)> = Vec::new();
+        // Successors paired with their fx hash, so interning never
+        // re-hashes.
+        let mut succs: Vec<(u32, A::State, u64)> = Vec::new();
         while let Some(id) = self.queue.pop_front() {
             self.peak_frontier = self.peak_frontier.max(self.queue.len() + 1);
             // Collect successors under an immutable borrow of the
             // arena, then intern them; `expand` hands back owned
             // states, so the expanded state itself is never recloned.
             let s = self.store.resolve(id);
-            aut.expand(&tasks, s, opts.skip_self_loops, &mut raw, &mut self.cache);
-            for (t, a, s2) in raw.drain(..) {
+            aut.expand(
+                &self.tasks,
+                s,
+                opts.skip_self_loops,
+                &mut raw,
+                &mut self.cache,
+            );
+            for (k, s2) in raw.drain(..) {
                 let s2 = if canon { aut.canonical(s2) } else { s2 };
                 if canon && opts.skip_self_loops && &s2 == s {
                     continue;
                 }
                 let h = crate::store::fx_hash(&s2);
-                succs.push((t, a, s2, h));
+                succs.push((k, s2, h));
             }
-            for (t, a, s2, h) in succs.drain(..) {
-                if let Some(id2) = self.admit(id, t, a, s2, h, opts.max_states) {
+            for (k, s2, h) in succs.drain(..) {
+                if let Some(id2) = self.admit(id, k, s2, h, opts.max_states) {
                     self.queue.push_back(id2);
                 }
             }
@@ -521,6 +551,7 @@ impl<A: Automaton> Builder<A> {
         ExploredGraph {
             store: self.store,
             roots: self.root_ids,
+            tasks: self.tasks,
             edges: self.edges,
             parent: self.parent,
             stats,
@@ -528,19 +559,56 @@ impl<A: Automaton> Builder<A> {
     }
 }
 
-/// A path through an automaton: the `(task, action, resulting state)`
-/// steps of a finite execution fragment (Section 2.1.1), excluding the
-/// start state.
-pub type Path<A> = Vec<(
-    <A as Automaton>::Task,
-    <A as Automaton>::Action,
-    <A as Automaton>::State,
-)>;
+/// A path through an automaton: the `(task, resulting state)` steps
+/// of a finite execution fragment (Section 2.1.1), excluding the start
+/// state.
+pub type Path<A> = Vec<(<A as Automaton>::Task, <A as Automaton>::State)>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::ActionKind;
     use crate::toy::{ParityCounter, ParityTask};
+
+    /// Tasks `a` and `b` both take state 0 to state 1, with different
+    /// actions; only `b` takes 1 on to 2.
+    struct Fork;
+
+    impl Automaton for Fork {
+        type State = u8;
+        type Action = (char, u8);
+        type Task = char;
+
+        fn initial_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn tasks(&self) -> Vec<char> {
+            vec!['a', 'b']
+        }
+        fn succ_all(&self, t: &char, s: &u8) -> Vec<((char, u8), u8)> {
+            match (t, s) {
+                (_, 0) | ('b', 1) => vec![((*t, *s), s + 1)],
+                _ => Vec::new(),
+            }
+        }
+        fn apply_input(&self, _: &u8, _: &(char, u8)) -> Option<u8> {
+            None
+        }
+        fn kind(&self, _: &(char, u8)) -> ActionKind {
+            ActionKind::Internal
+        }
+    }
+
+    #[test]
+    fn path_to_names_the_first_of_parallel_tasks() {
+        // The BFS meets `a`'s edge into 1 first, so `a` discovered 1;
+        // `b`'s parallel edge is kept but is no tree link.
+        let g = ExploredGraph::explore(&Fork, vec![0], 100);
+        assert_eq!(g.stats().edges, 3);
+        let id2 = g.id_of(&2).expect("2 is reachable");
+        let tasks: Vec<char> = g.path_to(id2).iter().map(|step| step.0).collect();
+        assert_eq!(tasks, vec!['a', 'b']);
+    }
 
     #[test]
     fn reachability_reaches_the_bound() {
@@ -570,12 +638,12 @@ mod tests {
             .expect("3 is reachable");
         let path = g.path_to(id);
         assert_eq!(path.len(), 3);
-        let tasks: Vec<ParityTask> = path.iter().map(|(t, _, _)| *t).collect();
+        let tasks: Vec<ParityTask> = path.iter().map(|(t, _)| *t).collect();
         assert_eq!(
             tasks,
             vec![ParityTask::Even, ParityTask::Odd, ParityTask::Even]
         );
-        assert_eq!(path.last().unwrap().2, 3);
+        assert_eq!(path.last().unwrap().1, 3);
     }
 
     #[test]
@@ -622,7 +690,7 @@ mod tests {
         let id3 = g.id_of(&3).unwrap();
         let path = g.path_to(id3);
         assert_eq!(path.len(), 3);
-        assert_eq!(path.last().unwrap().2, 3);
+        assert_eq!(path.last().unwrap().1, 3);
     }
 
     #[test]
@@ -647,7 +715,7 @@ mod tests {
         }
         // Every retained edge targets an admitted state.
         for id in g.ids() {
-            for (_, _, dst) in g.successors(id) {
+            for (_, dst) in g.successors(id) {
                 assert!(dst.index() < g.len(), "dangling edge to {dst:?}");
             }
         }

@@ -168,7 +168,7 @@ fn search_matches_the_naive_shortest_distance() {
             Some(id) => {
                 let path = graph.path_to(id);
                 assert_eq!(Some(path.len()), naive, "{aut:?} target={target}");
-                if let Some((_, _, last)) = path.last() {
+                if let Some((_, last)) = path.last() {
                     assert_eq!(*last, target);
                 }
             }
@@ -188,19 +188,21 @@ fn explored_graph_matches_the_naive_transition_structure() {
         // Same node set…
         let node_set: HashSet<usize> = graph.store().states().iter().copied().collect();
         assert_eq!(node_set, naive, "{aut:?}");
-        // …and per-state edges exactly as succ_all dictates, in order.
+        // …and per-state edges exactly as succ_all dictates, in order,
+        // each naming its task by index into the automaton's task list.
+        assert_eq!(graph.tasks(), aut.tasks().as_slice(), "{aut:?}");
         let mut total_edges = 0usize;
         for id in graph.ids() {
             let s = *graph.resolve(id);
-            let expected: Vec<(usize, (usize, usize), usize)> = aut
+            let expected: Vec<(usize, usize)> = aut
                 .tasks()
                 .iter()
-                .flat_map(|t| aut.succ_all(t, &s).into_iter().map(|(a, s2)| (*t, a, s2)))
+                .flat_map(|t| aut.succ_all(t, &s).into_iter().map(|(_, s2)| (*t, s2)))
                 .collect();
-            let actual: Vec<(usize, (usize, usize), usize)> = graph
+            let actual: Vec<(usize, usize)> = graph
                 .successors(id)
                 .iter()
-                .map(|(t, a, dst)| (*t, *a, *graph.resolve(*dst)))
+                .map(|&(k, dst)| (graph.tasks()[k as usize], *graph.resolve(dst)))
                 .collect();
             assert_eq!(actual, expected, "state {s} of {aut:?}");
             total_edges += actual.len();

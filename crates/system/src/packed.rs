@@ -647,7 +647,9 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
     /// of `tables` and passed to `emit` in the canonical `succ_effects`
     /// order (real branches in δ order, then the dummy), so the
     /// explored graph is bit-identical to the uncached path — see the
-    /// `effect_cache` module docs for why.
+    /// `effect_cache` module docs for why. Each transition's action is
+    /// passed as a thunk that builds it only when called, which
+    /// `succ_all` does and the explorer's `expand` does not.
     ///
     /// With `skip_self_loops`, stutters are recognized without being
     /// built: a crashed process's step, a dummy branch, and a splice
@@ -661,7 +663,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
         t: &Task,
         ps: &PackedState,
         skip_self_loops: bool,
-        mut emit: impl FnMut(Action, PackedState),
+        mut emit: impl FnMut(&dyn Fn() -> Action, PackedState),
     ) -> Result<(), Missing> {
         // `keep(same)`: whether to emit a successor that equals `ps`
         // exactly when `same` holds.
@@ -671,7 +673,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 let i = *i;
                 if (ps.failed_mask() >> i.0) & 1 == 1 {
                     if keep(true) {
-                        emit(Action::ProcStep(i), ps.clone());
+                        emit(&|| Action::ProcStep(i), ps.clone());
                     }
                     return Ok(());
                 }
@@ -679,7 +681,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                 match tables.step(i, pc).ok_or(Missing::Step(i, pc))? {
                     ProcStepEntry::Local(a, pc2) => {
                         if keep(*pc2 == pc) {
-                            emit(a.clone(), ps.splice1(i.0, *pc2));
+                            emit(&|| a.clone(), ps.splice1(i.0, *pc2));
                         }
                     }
                     ProcStepEntry::Invoke(c, inv, pc2) => {
@@ -690,7 +692,7 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                             .ok_or_else(|| Missing::Enqueue(i, pc, *c, inv.clone(), sc))?;
                         if keep(*pc2 == pc && sc2 == sc) {
                             emit(
-                                Action::Invoke(i, *c, inv.clone()),
+                                &|| Action::Invoke(i, *c, inv.clone()),
                                 ps.splice2(i.0, *pc2, slot, sc2),
                             );
                         }
@@ -705,11 +707,11 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                     .ok_or(Missing::Perform(*c, *i, sc))?;
                 for &sc2 in br.real.iter() {
                     if keep(sc2 == sc) {
-                        emit(Action::Perform(*c, *i), ps.splice1(slot, sc2));
+                        emit(&|| Action::Perform(*c, *i), ps.splice1(slot, sc2));
                     }
                 }
                 if br.dummy && keep(true) {
-                    emit(Action::DummyPerform(*c, *i), ps.clone());
+                    emit(&|| Action::DummyPerform(*c, *i), ps.clone());
                 }
             }
             Task::Output(c, i) => {
@@ -723,13 +725,13 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                         .ok_or_else(|| Missing::OnResp(*c, *i, sc, pc, resp.clone()))?;
                     if keep(pc2 == pc && *sc2 == sc) {
                         emit(
-                            Action::Respond(*c, *i, resp.clone()),
+                            &|| Action::Respond(*c, *i, resp.clone()),
                             ps.splice2(i.0, pc2, slot, *sc2),
                         );
                     }
                 }
                 if pop.dummy && keep(true) {
-                    emit(Action::DummyOutput(*c, *i), ps.clone());
+                    emit(&|| Action::DummyOutput(*c, *i), ps.clone());
                 }
             }
             Task::Compute(c, g) => {
@@ -741,38 +743,39 @@ impl<'s, P: ProcessAutomaton> PackedSystem<'s, P> {
                     .ok_or_else(|| Missing::Compute(*c, g.clone(), k, sc))?;
                 for &sc2 in br.real.iter() {
                     if keep(sc2 == sc) {
-                        emit(Action::Compute(*c, g.clone()), ps.splice1(slot, sc2));
+                        emit(&|| Action::Compute(*c, g.clone()), ps.splice1(slot, sc2));
                     }
                 }
                 if br.dummy && keep(true) {
-                    emit(Action::DummyCompute(*c, g.clone()), ps.clone());
+                    emit(&|| Action::DummyCompute(*c, g.clone()), ps.clone());
                 }
             }
         }
         Ok(())
     }
 
-    /// The cached expansion of `tasks` from `ps`, in task order: one
-    /// read guard on the effect tables for the whole state; a task that
-    /// meets a missing entry drops it, fills the entry and retries.
-    /// Each task counts one hit or one miss, in the cache's cumulative
-    /// counters and in `stats`.
+    /// The cached expansion of `tasks` from `ps`, in task order, each
+    /// transition passed to `emit` with its task's index in `tasks`:
+    /// one read guard on the effect tables for the whole state; a task
+    /// that meets a missing entry drops it, fills the entry and
+    /// retries. Each task counts one hit or one miss, in the cache's
+    /// cumulative counters and in `stats`.
     fn expand_cached(
         &self,
         cache: &EffectCache,
         tasks: &[Task],
         ps: &PackedState,
         skip_self_loops: bool,
-        mut emit: impl FnMut(&Task, Action, PackedState),
+        mut emit: impl FnMut(u32, &dyn Fn() -> Action, PackedState),
         stats: &mut CacheStats,
     ) {
         let mut tables = cache.read();
         let mut hits = 0;
-        for t in tasks {
+        for (k, t) in (0..).zip(tasks) {
             let mut hit = true;
             while let Err(missing) =
                 self.dispatch(cache, &tables, t, ps, skip_self_loops, |a, s2| {
-                    emit(t, a, s2)
+                    emit(k, a, s2)
                 })
             {
                 hit = false;
@@ -976,27 +979,6 @@ pub fn permute_svc_state(p: &Perm, st: &SvcState) -> SvcState {
     }
 }
 
-/// `π` applied to an action label: every `ProcId` field is remapped,
-/// services stay put (the group permutes processes only).
-#[must_use]
-pub fn permute_action(p: &Perm, a: &Action) -> Action {
-    let pi = |i: ProcId| ProcId(p.apply(i.0));
-    match a {
-        Action::Init(i, v) => Action::Init(pi(*i), v.clone()),
-        Action::Fail(i) => Action::Fail(pi(*i)),
-        Action::Decide(i, v) => Action::Decide(pi(*i), v.clone()),
-        Action::Output(i, r) => Action::Output(pi(*i), r.clone()),
-        Action::Invoke(i, c, inv) => Action::Invoke(pi(*i), *c, inv.clone()),
-        Action::ProcStep(i) => Action::ProcStep(pi(*i)),
-        Action::Perform(c, i) => Action::Perform(*c, pi(*i)),
-        Action::Respond(c, i, r) => Action::Respond(*c, pi(*i), r.clone()),
-        Action::Compute(c, g) => Action::Compute(*c, g.clone()),
-        Action::DummyPerform(c, i) => Action::DummyPerform(*c, pi(*i)),
-        Action::DummyOutput(c, i) => Action::DummyOutput(*c, pi(*i)),
-        Action::DummyCompute(c, g) => Action::DummyCompute(*c, g.clone()),
-    }
-}
-
 /// `π` applied to a task: process and endpoint tasks move with their
 /// process, compute tasks are fixed points.
 #[must_use]
@@ -1166,7 +1148,7 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
                 std::slice::from_ref(t),
                 ps,
                 false,
-                |_, a, s2| out.push((a, s2)),
+                |_, a, s2| out.push((a(), s2)),
                 &mut CacheStats::default(),
             );
             return out;
@@ -1235,7 +1217,7 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
         tasks: &[Task],
         s: &PackedState,
         skip_self_loops: bool,
-        out: &mut Vec<(Task, Action, PackedState)>,
+        out: &mut Vec<(u32, PackedState)>,
         stats: &mut CacheStats,
     ) {
         let Some(cache) = &self.cache else {
@@ -1246,7 +1228,7 @@ impl<P: ProcessAutomaton> Automaton for PackedSystem<'_, P> {
             tasks,
             s,
             skip_self_loops,
-            |t, a, s2| out.push((t.clone(), a, s2)),
+            |k, _, s2| out.push((k, s2)),
             stats,
         );
     }

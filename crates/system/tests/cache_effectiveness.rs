@@ -113,7 +113,8 @@ fn cached_expansions_never_deep_clone_after_warmup() {
     assert!(after.hits > 0);
 
     // The whole-state expansion the explorer makes, with and without
-    // self-loops: the same guarantees, and one hit per task.
+    // self-loops: the same guarantees, and one hit per task. Each
+    // successor comes with the index of its task in `tasks`.
     for skip_self_loops in [false, true] {
         let mut out = Vec::new();
         let mut stats = CacheStats::default();
@@ -137,6 +138,15 @@ fn cached_expansions_never_deep_clone_after_warmup() {
             },
             "the root's tasks were all warmed"
         );
+        for (k, ps2) in &out {
+            assert!(
+                packed
+                    .succ_all(&tasks[*k as usize], &root)
+                    .iter()
+                    .any(|(_, s2)| s2 == ps2),
+                "an expanded successor is one of its task's successors"
+            );
+        }
     }
 }
 

@@ -459,7 +459,7 @@ fn hook_cmd(args: &Args) -> ExitCode {
             if let Some(path) = args.get("dot") {
                 let dot = to_dot(&map, &hook.alpha, 3, Some(&hook));
                 if let Err(e) = std::fs::write(path, dot) {
-                    die(&format!("cannot write {path}: {e}"));
+                    fail(&format!("cannot write {path}: {e}"));
                 }
                 println!("wrote G(C) neighbourhood to {path} (render with: dot -Tsvg {path})");
             }

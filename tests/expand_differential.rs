@@ -8,10 +8,12 @@
 //! root's map (plus a root with a crashed process, whose steps are
 //! stutters), for each doomed substrate, it must produce exactly what
 //! the default per-task loop over `PackedSystem::new_uncached`'s
-//! `succ_all` produces — same tasks, same actions, same successors in
-//! the same order — on a cold system and again warm, with self-loop
+//! `succ_all` produces — same task indices, same successors in the
+//! same order — on a cold system and again warm, with self-loop
 //! skipping on and off, and it must count one cache hit or miss per
-//! task into its sink.
+//! task into its sink. `expand` builds no actions, so the actions are
+//! checked on the cached system's `succ_all`, which must equal the
+//! uncached one's, actions included, on every state.
 
 use ioa::automaton::CacheStats;
 use ioa::explore::{ExploreOptions, ExploredGraph};
@@ -114,7 +116,7 @@ fn expand<P: ProcessAutomaton>(
     tasks: &[Task],
     ps: &PackedState,
     skip_self_loops: bool,
-) -> (Vec<(Task, Action, PackedState)>, CacheStats) {
+) -> (Vec<(u32, PackedState)>, CacheStats) {
     let before = packed.cache_stats().expect("cached");
     let mut out = Vec::new();
     let mut stats = CacheStats::default();
@@ -125,10 +127,12 @@ fn expand<P: ProcessAutomaton>(
     (out, stats)
 }
 
-/// `out` is `expected` minus, under `skip_self_loops`, its self-loops.
+/// `out` is `expected` minus, under `skip_self_loops`, its self-loops,
+/// each task named by its index in `tasks`.
 fn assert_matches(
     ctx: &str,
-    out: &[(Task, Action, PackedState)],
+    tasks: &[Task],
+    out: &[(u32, PackedState)],
     expected: &[Expected],
     skip_self_loops: bool,
 ) {
@@ -136,8 +140,31 @@ fn assert_matches(
         .iter()
         .filter(|(.., self_loop)| !(skip_self_loops && *self_loop));
     assert_eq!(out.len(), kept.clone().count(), "{ctx}: transition count");
-    for ((t, a, s2), (et, ea, es2, _)) in out.iter().zip(kept) {
-        assert_eq!((t, a, Some(s2)), (et, ea, es2.as_ref()), "{ctx}");
+    for ((k, s2), (et, _, es2, _)) in out.iter().zip(kept) {
+        assert_eq!((&tasks[*k as usize], Some(s2)), (et, es2.as_ref()), "{ctx}");
+    }
+}
+
+/// `packed.succ_all`, task by task, is `expected`, actions included.
+fn assert_succ_all_matches<P: ProcessAutomaton>(
+    ctx: &str,
+    packed: &PackedSystem<'_, P>,
+    tasks: &[Task],
+    ps: &PackedState,
+    expected: &[Expected],
+) {
+    let all: Vec<(&Task, Action, PackedState)> = tasks
+        .iter()
+        .flat_map(|t| {
+            packed
+                .succ_all(t, ps)
+                .into_iter()
+                .map(move |(a, s2)| (t, a, s2))
+        })
+        .collect();
+    assert_eq!(all.len(), expected.len(), "{ctx}: succ_all count");
+    for ((t, a, s2), (et, ea, es2, _)) in all.iter().zip(expected) {
+        assert_eq!((*t, a, Some(s2)), (et, ea, es2.as_ref()), "{ctx}: succ_all");
     }
 }
 
@@ -164,10 +191,11 @@ fn check_substrate<P: ProcessAutomaton>(
         // lookups after it find each one.
         let (out, _) = expand(&ctx, &packed, &tasks, &ps, first);
         let expected = expected(&packed, &ps, &reference(&uncached, &tasks, s));
-        assert_matches(&ctx, &out, &expected, first);
+        assert_matches(&ctx, &tasks, &out, &expected, first);
         let (out, warm) = expand(&ctx, &packed, &tasks, &ps, !first);
-        assert_matches(&ctx, &out, &expected, !first);
+        assert_matches(&ctx, &tasks, &out, &expected, !first);
         assert_eq!(warm.misses, 0, "{ctx}: warm");
+        assert_succ_all_matches(&ctx, &packed, &tasks, &ps, &expected);
         k += 1;
     });
     k
@@ -222,7 +250,7 @@ fn uncached_expand_is_the_per_task_loop() {
             let mut out = Vec::new();
             let mut stats = CacheStats::default();
             uncached.expand(&tasks, &ps, skip, &mut out, &mut stats);
-            assert_matches("uncached", &out, &expected, skip);
+            assert_matches("uncached", &tasks, &out, &expected, skip);
             assert_eq!(stats, CacheStats::default());
         }
     });

@@ -86,19 +86,20 @@ fn lemma1_as_a_dsl_invariant_over_the_explored_graph() {
         ValenceMap::build_with_symmetry(&sys, root, 2_000_000, 0, ioa::SymmetryMode::Off).unwrap();
     let graph = SystemGraph::new(&sys, &map);
 
-    let props: Vec<Prop<'_, SystemGraph<'_, _>>> =
-        sys.tasks()
-            .into_iter()
-            .map(|e| {
-                let name = format!("stable({e})");
-                Prop::always(Atom::new(name, move |g: &SystemGraph<'_, _>, id| {
-                    !g.sys().applicable(&e, g.map().resolve(id))
-                        || g.map().successors(id).iter().all(|(t, _, s2)| {
-                            *t == e || g.sys().applicable(&e, g.map().resolve(*s2))
-                        })
-                }))
-            })
-            .collect();
+    let props: Vec<Prop<'_, SystemGraph<'_, _>>> = sys
+        .tasks()
+        .into_iter()
+        .map(|e| {
+            let name = format!("stable({e})");
+            Prop::always(Atom::new(name, move |g: &SystemGraph<'_, _>, id| {
+                !g.sys().applicable(&e, g.map().resolve(id))
+                    || g.map().successors(id).iter().all(|&(k, s2)| {
+                        g.map().tasks()[k as usize] == e
+                            || g.sys().applicable(&e, g.map().resolve(s2))
+                    })
+            }))
+        })
+        .collect();
     let report = evaluate_batch(&graph, &props);
     assert_eq!(report.passes.forward, 1, "one scan decides every task");
     for (p, ev) in props.iter().zip(&report.results) {

@@ -156,7 +156,7 @@ fn check_quotient_lookups<P: ProcessAutomaton>(
                 assert!(
                     map.successors(id)
                         .iter()
-                        .any(|(t2, _, s2)| *t2 == t && *s2 == rep_id),
+                        .any(|&(k, s2)| map.tasks()[k as usize] == t && s2 == rep_id),
                     "{ctx}: representative is a {t} successor of {id:?}"
                 );
             }

@@ -371,6 +371,33 @@ fn hook_without_a_bivalent_initialization_reports_like_census() {
 }
 
 #[test]
+fn unwritable_dot_file_is_one_error_line() {
+    // Used to print the usage dump after the error line.
+    let out = repro(&[
+        "hook",
+        "--n",
+        "2",
+        "--f",
+        "0",
+        "--dot",
+        "/nonexistent/x.dot",
+    ]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.starts_with("error: cannot write /nonexistent/x.dot: "),
+        "{err}"
+    );
+    // The hook was found and printed before the write failed.
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("hook: e="),
+        "{:?}",
+        out.stdout
+    );
+}
+
+#[test]
 fn misspelt_flag_is_refused() {
     // Used to explore without the quotient and exit 0.
     assert_refused(
