@@ -10,12 +10,14 @@
 //! *batch* of them with fused passes over the graph:
 //!
 //! * **one forward scan** over the states in id (BFS discovery) order,
-//!   evaluating every distinct atom once per state and materializing
-//!   the forward edge structure into an [`ioa::csr::Csr`];
-//! * **at most one backward fixpoint** over the reverse CSR
+//!   evaluating every distinct atom once per state;
+//! * **at most one backward fixpoint** over the substrate's reverse CSR
 //!   ([`ioa::fixpoint::backward_universal`], the same bit-lane engine
 //!   the valence map's decided sets run on), answering every
 //!   `eventually` / `leads_to` lane of the batch in a single sweep.
+//!
+//! No edge is copied: the sweep and the witness walks read the
+//! substrate's own rows ([`PropGraph::preds`], [`PropGraph::successors`]).
 //!
 //! The pass counts are instrumented ([`PassCounts`]) and gated in CI:
 //! adding properties to a batch must not add graph traversals.
@@ -34,7 +36,7 @@ use crate::valence::{Valence, ValenceMap};
 use ioa::automaton::Automaton;
 use ioa::canon::Perm;
 use ioa::csr::Csr;
-use ioa::explore::{first_edge_task, ExploredGraph};
+use ioa::explore::{first_edge_task, Edge};
 use ioa::fixpoint;
 use ioa::store::StateId;
 use spec::{ProcId, Val};
@@ -49,12 +51,14 @@ use system::Task;
 
 /// The graph view the evaluator runs on: dense [`StateId`]s
 /// `0..state_count`, every id reachable from the roots, with a
-/// BFS-tree parent per non-root id for witness reconstruction.
+/// BFS-tree parent per non-root id for witness reconstruction, and its
+/// forward rows plus their reverse CSR.
 ///
-/// Fairness information (task lanes on edges, per-state applicability)
-/// is optional: substrates without it report `task_count() == 0`, and
-/// `fair_eventually` then degenerates to `eventually` (with no task
-/// structure, every infinite behavior counts as fair — vacuously).
+/// Fairness information (each edge's task index as its lane, per-state
+/// applicability) is optional: substrates without it report
+/// `task_count() == 0`, and `fair_eventually` then degenerates to
+/// `eventually` (with no task structure, every infinite behavior counts
+/// as fair — vacuously).
 pub trait PropGraph {
     /// The state type atoms inspect.
     type State;
@@ -76,10 +80,14 @@ pub trait PropGraph {
     /// The BFS-tree parent of `id` (`None` for roots).
     fn parent_of(&self, id: StateId) -> Option<StateId>;
 
-    /// Visit every progress edge out of `id` as `(task lane,
-    /// successor)`, in edge order. The lane is an index into the
-    /// substrate's task list when `task_count() > 0`, else ignored.
-    fn for_each_edge(&self, id: StateId, f: &mut dyn FnMut(usize, StateId));
+    /// The progress edges out of `id` as `(task index, successor)`, in
+    /// edge order. The task index is the edge's fairness lane when
+    /// `task_count() > 0`, else ignored.
+    fn successors(&self, id: StateId) -> &[Edge];
+
+    /// The reverse CSR of [`PropGraph::successors`]: one predecessor
+    /// per forward edge, in `(source, position)` order.
+    fn preds(&self) -> &Csr<StateId>;
 
     /// Number of tasks, for fairness-constrained eventualities.
     /// `0` means "no fairness information".
@@ -91,31 +99,6 @@ pub trait PropGraph {
     /// at `id`. Only consulted when `task_count() > 0`.
     fn task_applicable(&self, _lane: usize, _id: StateId) -> bool {
         false
-    }
-}
-
-impl<A: ioa::automaton::Automaton> PropGraph for ExploredGraph<A> {
-    type State = A::State;
-
-    fn state_count(&self) -> usize {
-        self.len()
-    }
-    fn root_ids(&self) -> Vec<StateId> {
-        self.roots().to_vec()
-    }
-    fn resolve_state(&self, id: StateId) -> &A::State {
-        self.resolve(id)
-    }
-    fn frontier_open(&self) -> bool {
-        self.stats().truncated()
-    }
-    fn parent_of(&self, id: StateId) -> Option<StateId> {
-        self.parent(id)
-    }
-    fn for_each_edge(&self, id: StateId, f: &mut dyn FnMut(usize, StateId)) {
-        for &(_, s2) in self.successors(id) {
-            f(0, s2);
-        }
     }
 }
 
@@ -257,10 +240,11 @@ impl<P: ProcessAutomaton> PropGraph for SystemGraph<'_, P> {
     fn parent_of(&self, id: StateId) -> Option<StateId> {
         self.map.parent(id)
     }
-    fn for_each_edge(&self, id: StateId, f: &mut dyn FnMut(usize, StateId)) {
-        for &(k, s2) in self.map.successors(id) {
-            f(k as usize, s2);
-        }
+    fn successors(&self, id: StateId) -> &[Edge] {
+        self.map.successors(id)
+    }
+    fn preds(&self) -> &Csr<StateId> {
+        self.map.preds()
     }
     fn task_count(&self) -> usize {
         self.map.tasks().len()
@@ -430,21 +414,16 @@ impl<G: PropGraph> fmt::Display for Prop<'_, G> {
             Prop::EventuallyFair(a) => write!(f, "fair_eventually({})", a.name),
             Prop::LeadsTo(p, q) => write!(f, "leads_to({}, {})", p.name, q.name),
             Prop::Not(p) => write!(f, "!{p}"),
-            Prop::And(ps) => {
+            Prop::And(ps) | Prop::Or(ps) => {
+                let sep = if matches!(self, Prop::And(_)) {
+                    " & "
+                } else {
+                    " | "
+                };
                 write!(f, "(")?;
                 for (i, p) in ps.iter().enumerate() {
                     if i > 0 {
-                        write!(f, " & ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
-            Prop::Or(ps) => {
-                write!(f, "(")?;
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " | ")?;
+                        write!(f, "{sep}")?;
                     }
                     write!(f, "{p}")?;
                 }
@@ -538,17 +517,26 @@ impl Evaluation {
             reason: None,
         }
     }
+
+    fn witnessed(verdict: Verdict, witness: Witness) -> Self {
+        Evaluation {
+            verdict,
+            witness: Some(witness),
+            reason: None,
+        }
+    }
 }
 
 /// Instrumented traversal counts for one [`evaluate_batch`] call — the
-/// CI gate asserts the fused evaluator does exactly one forward and at
-/// most one backward CSR traversal per graph, batch-wide.
+/// CI gate asserts the fused evaluator does exactly one forward scan
+/// and at most one backward sweep per graph, batch-wide.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassCounts {
-    /// Forward scans over the states + edges (atom evaluation and edge
-    /// materialization share one).
+    /// Forward scans over the states (every distinct atom evaluated at
+    /// every state).
     pub forward: u32,
-    /// Backward sweeps (reverse-CSR transpose + multi-lane fixpoint).
+    /// Backward sweeps (the multi-lane `AF` fixpoint over the
+    /// substrate's reverse CSR).
     pub backward: u32,
     /// Failure-triggered auxiliary analyses (the fair-counterexample
     /// hunt: restricted reachability + SCC pass). Zero unless a
@@ -592,6 +580,12 @@ pub fn evaluate<'g, G: PropGraph>(g: &G, p: &Prop<'g, G>) -> Evaluation {
 /// paths live in the quotient; lift them back to concrete, replayable
 /// executions with [`SystemGraph::lift_path`] before handing them to
 /// `replay`.
+///
+/// # Panics
+///
+/// Panics if the batch names more than [`fixpoint::MAX_LANES`]
+/// distinct `eventually`/`leads_to` targets; [`parse_props`] refuses
+/// such text.
 pub fn evaluate_batch<'g, G: PropGraph>(g: &G, props: &[Prop<'g, G>]) -> BatchReport {
     let mut engine = Engine::prepare(g, props);
     let results = props.iter().map(|p| engine.eval(p)).collect();
@@ -631,14 +625,6 @@ struct Engine<'e, 'g, G: PropGraph> {
     grids: Vec<Bits>,
     min_true: Vec<Option<u32>>,
     min_false: Vec<Option<u32>>,
-    /// Forward edges, materialized once during the forward scan.
-    fwd: Csr<StateId>,
-    /// Task lane per forward edge (parallel to the CSR entries),
-    /// populated only when the substrate has task structure.
-    lanes: Vec<u32>,
-    /// Entry offset of each state's forward row in `lanes`.
-    row_start: Vec<u32>,
-    outdeg: Vec<u32>,
     /// Atom indices with an `AF` lane, in lane order.
     af_atoms: Vec<usize>,
     /// Per-state `AF` masks (bit `j` = `af_atoms[j]`'s lane).
@@ -674,10 +660,6 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             grids: Vec::new(),
             min_true: Vec::new(),
             min_false: Vec::new(),
-            fwd: Csr::new(),
-            lanes: Vec::new(),
-            row_start: Vec::new(),
-            outdeg: vec![0; n],
             af_atoms,
             af: Vec::new(),
             passes: PassCounts::default(),
@@ -695,12 +677,10 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         engine
     }
 
-    /// One scan over states in id order: evaluate every atom, record
-    /// min satisfying/violating ids, and materialize the forward CSR
-    /// (with task lanes when the substrate has them).
+    /// One scan over states in id order: evaluate every atom and record
+    /// min satisfying/violating ids.
     fn forward_pass(&mut self) {
         self.passes.forward += 1;
-        let track_lanes = self.g.task_count() > 0;
         let mut grids: Vec<Bits> = self.atoms.iter().map(|_| Bits::new(self.n)).collect();
         self.min_true = vec![None; self.atoms.len()];
         self.min_false = vec![None; self.atoms.len()];
@@ -714,27 +694,14 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
                     self.min_false[ai].get_or_insert(i as u32);
                 }
             }
-            self.row_start.push(self.lanes.len() as u32);
-            let (fwd, lanes, deg) = (&mut self.fwd, &mut self.lanes, &mut self.outdeg);
-            self.g.for_each_edge(id, &mut |lane, succ| {
-                fwd.push(succ);
-                if track_lanes {
-                    lanes.push(lane as u32);
-                }
-                deg[i] += 1;
-            });
-            fwd.close_row();
         }
         self.grids = grids;
     }
 
-    /// One reverse-CSR transpose + multi-lane universal fixpoint: all
-    /// `AF` targets of the batch in a single sweep.
+    /// One multi-lane universal fixpoint over the substrate's reverse
+    /// CSR: all `AF` targets of the batch in a single sweep.
     fn backward_pass(&mut self) {
         self.passes.backward += 1;
-        let preds = self
-            .fwd
-            .reversed(|s| s.index(), |src, _| StateId::from_index(src));
         let mut masks: Vec<u64> = (0..self.n)
             .map(|i| {
                 self.af_atoms.iter().enumerate().fold(0u64, |m, (j, &ai)| {
@@ -742,8 +709,13 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
                 })
             })
             .collect();
-        fixpoint::backward_universal(&preds, &self.outdeg, self.af_atoms.len(), &mut masks);
+        fixpoint::backward_universal(self.g.preds(), self.af_atoms.len(), &mut masks);
         self.af = masks;
+    }
+
+    /// The forward row of the state with index `u`.
+    fn row(&self, u: usize) -> &'e [Edge] {
+        self.g.successors(StateId::from_index(u))
     }
 
     fn atom_index(&self, a: &Atom<'g, G>) -> usize {
@@ -777,16 +749,16 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         path
     }
 
-    fn frontier_note(&self) -> Option<String> {
-        Some(format!(
-            "frontier open after {} states: absence over the explored prefix is inconclusive",
-            self.n
-        ))
-    }
-
-    /// All roots satisfy atom `ai`?
-    fn roots_satisfy(&self, ai: usize) -> bool {
-        self.roots.iter().all(|r| self.grids[ai].get(r.index()))
+    /// `Unknown` on an open frontier, saying why.
+    fn open_frontier(&self) -> Evaluation {
+        Evaluation {
+            verdict: Verdict::Unknown,
+            witness: None,
+            reason: Some(format!(
+                "frontier open after {} states: absence over the explored prefix is inconclusive",
+                self.n
+            )),
+        }
     }
 
     fn eval(&mut self, p: &Prop<'g, G>) -> Evaluation {
@@ -836,11 +808,7 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         let ai = self.atom_index(a);
         match self.roots.iter().find(|r| !self.grids[ai].get(r.index())) {
             None => Evaluation::plain(Verdict::Holds),
-            Some(r) => Evaluation {
-                verdict: Verdict::Fails,
-                witness: Some(Witness::Path(vec![*r])),
-                reason: None,
-            },
+            Some(r) => Evaluation::witnessed(Verdict::Fails, Witness::Path(vec![*r])),
         }
     }
 
@@ -850,20 +818,11 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         }
         let ai = self.atom_index(a);
         if let Some(bad) = self.min_false[ai] {
-            return Evaluation {
-                verdict: Verdict::Fails,
-                witness: Some(Witness::Path(
-                    self.tree_path(StateId::from_index(bad as usize)),
-                )),
-                reason: None,
-            };
+            let path = self.tree_path(StateId::from_index(bad as usize));
+            return Evaluation::witnessed(Verdict::Fails, Witness::Path(path));
         }
         if self.open {
-            return Evaluation {
-                verdict: Verdict::Unknown,
-                witness: None,
-                reason: self.frontier_note(),
-            };
+            return self.open_frontier();
         }
         Evaluation::plain(Verdict::Holds)
     }
@@ -877,20 +836,11 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             // Minimal id = first in BFS discovery order, so the tree
             // path is a shortest witness — the first match a BFS meets,
             // as `ExploredGraph::path_to` would return it.
-            return Evaluation {
-                verdict: Verdict::Holds,
-                witness: Some(Witness::Path(
-                    self.tree_path(StateId::from_index(good as usize)),
-                )),
-                reason: None,
-            };
+            let path = self.tree_path(StateId::from_index(good as usize));
+            return Evaluation::witnessed(Verdict::Holds, Witness::Path(path));
         }
         if self.open {
-            return Evaluation {
-                verdict: Verdict::Unknown,
-                witness: None,
-                reason: self.frontier_note(),
-            };
+            return self.open_frontier();
         }
         Evaluation::plain(Verdict::Fails)
     }
@@ -903,14 +853,10 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         if self.open {
             // The fixpoint is unsound over an open frontier in both
             // directions; only the trivial case is decidable.
-            if self.roots_satisfy(ai) {
+            if self.roots.iter().all(|r| self.grids[ai].get(r.index())) {
                 return Evaluation::plain(Verdict::Holds);
             }
-            return Evaluation {
-                verdict: Verdict::Unknown,
-                witness: None,
-                reason: self.frontier_note(),
-            };
+            return self.open_frontier();
         }
         let lane = self.af_lane(ai);
         let bad_root = self
@@ -922,11 +868,7 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             return Evaluation::plain(Verdict::Holds);
         };
         if !fair {
-            return Evaluation {
-                verdict: Verdict::Fails,
-                witness: Some(self.af_counterexample(lane, bad_root)),
-                reason: None,
-            };
+            return Evaluation::witnessed(Verdict::Fails, self.af_counterexample(lane, bad_root));
         }
         self.fair_af_verdict(lane, bad_root)
     }
@@ -936,22 +878,17 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             return Evaluation::plain(Verdict::Holds);
         }
         if self.open {
-            return Evaluation {
-                verdict: Verdict::Unknown,
-                witness: None,
-                reason: self.frontier_note(),
-            };
+            return self.open_frontier();
         }
         let pi = self.atom_index(pa);
         let lane = self.af_lane(self.atom_index(qa));
         let violation = (0..self.n).find(|&i| self.grids[pi].get(i) && !self.af_bit(lane, i));
         match violation {
             None => Evaluation::plain(Verdict::Holds),
-            Some(i) => Evaluation {
-                verdict: Verdict::Fails,
-                witness: Some(Witness::Path(self.tree_path(StateId::from_index(i)))),
-                reason: None,
-            },
+            Some(i) => {
+                let path = self.tree_path(StateId::from_index(i));
+                Evaluation::witnessed(Verdict::Fails, Witness::Path(path))
+            }
         }
     }
 
@@ -965,13 +902,13 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         pos.insert(start.index() as u32, 0);
         loop {
             let cur = *path.last().expect("non-empty");
-            let row = self.fwd.row(cur.index());
+            let row = self.row(cur.index());
             if row.is_empty() {
                 return Witness::Path(path);
             }
             let next = row
                 .iter()
-                .copied()
+                .map(|&(_, s)| s)
                 .find(|s| !self.af_bit(lane, s.index()))
                 .expect("a non-terminal ¬af state has a ¬af successor");
             if let Some(&at) = pos.get(&(next.index() as u32)) {
@@ -1008,17 +945,13 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         while qi < order.len() {
             let u = order[qi] as usize;
             qi += 1;
-            if self.fwd.row(u).is_empty() {
+            if self.row(u).is_empty() {
                 // A terminal trap: a finite maximal path avoiding the
                 // atom — fair by quiescence.
                 let stem = restricted_path(&parent, bad_root, u);
-                return Evaluation {
-                    verdict: Verdict::Fails,
-                    witness: Some(Witness::Path(stem)),
-                    reason: None,
-                };
+                return Evaluation::witnessed(Verdict::Fails, Witness::Path(stem));
             }
-            for s in self.fwd.row(u) {
+            for &(_, s) in self.row(u) {
                 let v = s.index();
                 if restricted(v) && !seen.get(v) {
                     seen.set(v);
@@ -1032,10 +965,10 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         let sccs = self.restricted_sccs(&order, &seen);
         let task_count = self.g.task_count();
         for scc in &sccs {
-            if !self.scc_has_cycle(scc, &seen) {
+            if !self.scc_has_cycle(scc) {
                 continue;
             }
-            if task_count > 0 && !self.scc_tour_is_fair(scc, &seen, task_count) {
+            if task_count > 0 && !self.scc_tour_is_fair(scc, task_count) {
                 continue;
             }
             // Fair trap: stem to the component's entry, then a cycle
@@ -1049,10 +982,9 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             loop {
                 let cur = path.last().expect("non-empty").index();
                 let next = self
-                    .fwd
                     .row(cur)
                     .iter()
-                    .map(|s| s.index())
+                    .map(|&(_, s)| s.index())
                     .find(|&v| seen.get(v) && in_scc(v))
                     .expect("a cyclic SCC state has an internal successor");
                 if let Some(&at) = pos.get(&(next as u32)) {
@@ -1108,9 +1040,9 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
             stack.push(root);
             on_stack.set(root as usize);
             while let Some(&mut (u, ref mut cursor)) = frames.last_mut() {
-                let row = self.fwd.row(u as usize);
+                let row = self.row(u as usize);
                 if *cursor < row.len() {
-                    let v = row[*cursor].index();
+                    let v = row[*cursor].1.index();
                     *cursor += 1;
                     if !seen.get(v) {
                         continue;
@@ -1151,28 +1083,24 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
 
     /// Whether the component contains a cycle: more than one state, or
     /// a self-edge.
-    fn scc_has_cycle(&self, scc: &[u32], seen: &Bits) -> bool {
+    fn scc_has_cycle(&self, scc: &[u32]) -> bool {
         if scc.len() > 1 {
             return true;
         }
         let u = scc[0] as usize;
-        let _ = seen;
-        self.fwd.row(u).iter().any(|s| s.index() == u)
+        self.row(u).iter().any(|&(_, s)| s.index() == u)
     }
 
     /// The weak-fairness clause on the component's full tour: every
     /// task either labels an internal edge (fires infinitely often on
     /// the tour) or is inapplicable at some component state (disabled
     /// infinitely often). Mirrors `ioa::fairness::lasso_is_fair`.
-    fn scc_tour_is_fair(&self, scc: &[u32], seen: &Bits, task_count: usize) -> bool {
+    fn scc_tour_is_fair(&self, scc: &[u32], task_count: usize) -> bool {
         let mut fired = vec![false; task_count];
         for &u in scc {
-            let u = u as usize;
-            let base = self.row_start[u] as usize;
-            for (k, s) in self.fwd.row(u).iter().enumerate() {
-                let v = s.index();
-                if seen.get(v) && scc.binary_search(&(v as u32)).is_ok() {
-                    fired[self.lanes[base + k] as usize] = true;
+            for &(k, s) in self.row(u as usize) {
+                if scc.binary_search(&(s.index() as u32)).is_ok() {
+                    fired[k as usize] = true;
                 }
             }
         }
@@ -1189,10 +1117,9 @@ impl<'e, 'g, G: PropGraph> Engine<'e, 'g, G> {
         let mut fired = vec![false; task_count];
         for (k, s) in cycle.iter().enumerate() {
             let u = s.index();
-            let next = cycle[(k + 1) % cycle.len()].index();
-            let base = self.row_start[u] as usize;
-            if let Some(e) = self.fwd.row(u).iter().position(|t| t.index() == next) {
-                fired[self.lanes[base + e] as usize] = true;
+            let next = cycle[(k + 1) % cycle.len()];
+            if let Some(&(lane, _)) = self.row(u).iter().find(|&&(_, t)| t == next) {
+                fired[lane as usize] = true;
             }
         }
         (0..task_count).all(|t| fired[t] || cycle.iter().any(|&u| !self.g.task_applicable(t, u)))
@@ -1216,7 +1143,8 @@ fn restricted_path(parent: &[Option<u32>], root: StateId, target: usize) -> Vec<
 /// blocks the theorem restatements and the `repro check` textual form
 /// share. Each constructor returns a fresh atom; reuse one `Atom`
 /// value (clones share identity) to let the batch evaluator
-/// deduplicate its per-state evaluation.
+/// deduplicate its per-state evaluation, as [`parse_props`] does for
+/// repeated atom text.
 pub mod atoms {
     use super::*;
 
@@ -1383,24 +1311,46 @@ pub fn system_vocab<'g, P: ProcessAutomaton>(
 /// atom     := IDENT ['(' INT (',' INT)* ')']
 /// ```
 ///
-/// Atom names resolve through `vocab`.
+/// Atom names resolve through `vocab`, once per distinct atom text
+/// (name plus arguments): every occurrence shares that one [`Atom`], so
+/// [`evaluate_batch`] evaluates a repeated atom once per state and a
+/// repeated `eventually`/`leads_to` target takes one backward lane.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on unknown syntax, unknown atoms, or
-/// trailing garbage.
+/// Returns [`ParseError`] on unknown syntax, unknown atoms, trailing
+/// garbage, `!`/`(`/`&`/`|` nesting deeper than 256 levels, or a batch
+/// naming more than [`fixpoint::MAX_LANES`] distinct
+/// `eventually`/`leads_to` targets.
 pub fn parse_props<'g, G: PropGraph>(
     src: &str,
     vocab: Vocab<'_, 'g, G>,
 ) -> Result<Vec<Prop<'g, G>>, ParseError> {
-    let mut p = Parser { src, pos: 0, vocab };
-    let mut props = Vec::new();
+    let mut p = Parser {
+        src,
+        pos: 0,
+        vocab,
+        atoms: Vec::new(),
+    };
+    let (mut props, mut atoms, mut targets) = (Vec::new(), Vec::new(), Vec::new());
     loop {
         p.skip_ws();
         if p.pos == src.len() && !props.is_empty() {
             break;
         }
-        props.push(p.parse_or()?);
+        let at = p.pos;
+        let prop = p.parse_or(0)?;
+        if nesting(&prop) > MAX_NESTING {
+            return Err(too_deep(at));
+        }
+        collect_atoms(&prop, &mut atoms, &mut targets);
+        if targets.len() > fixpoint::MAX_LANES {
+            let max = fixpoint::MAX_LANES;
+            let msg =
+                format!("a batch supports at most {max} distinct eventually/leads-to targets");
+            return Err(ParseError { at, msg });
+        }
+        props.push(prop);
         p.skip_ws();
         if !p.eat(';') {
             break;
@@ -1413,10 +1363,33 @@ pub fn parse_props<'g, G: PropGraph>(
     Ok(props)
 }
 
+/// How deeply [`parse_props`] lets `!`, `(`, `&` and `|` nest. The
+/// parser recurses once per `!` and `(`, so the cap bounds its stack
+/// on any input.
+const MAX_NESTING: usize = 256;
+
+/// How deeply `p`'s `!`, `&` and `|` nodes nest: the `!`-and-`(`
+/// depth of its `Display` form, so a parsed batch prints as text that
+/// parses again.
+fn nesting<G: PropGraph>(p: &Prop<'_, G>) -> usize {
+    match p {
+        Prop::Not(q) => 1 + nesting(q),
+        Prop::And(ps) | Prop::Or(ps) => 1 + ps.iter().map(nesting).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+fn too_deep(at: usize) -> ParseError {
+    let msg = format!("operators nest deeper than {MAX_NESTING} levels");
+    ParseError { at, msg }
+}
+
 struct Parser<'s, 'v, 'g, G: PropGraph> {
     src: &'s str,
     pos: usize,
     vocab: Vocab<'v, 'g, G>,
+    /// The atom resolved for each distinct name and arguments so far.
+    atoms: Vec<(String, Vec<i64>, Atom<'g, G>)>,
 }
 
 impl<'g, G: PropGraph> Parser<'_, '_, 'g, G> {
@@ -1428,8 +1401,8 @@ impl<'g, G: PropGraph> Parser<'_, '_, 'g, G> {
     }
 
     fn skip_ws(&mut self) {
-        while self.src[self.pos..].starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
@@ -1485,10 +1458,10 @@ impl<'g, G: PropGraph> Parser<'_, '_, 'g, G> {
             .map_err(|e| self.err(format!("bad integer {text:?}: {e}")))
     }
 
-    fn parse_or(&mut self) -> Result<Prop<'g, G>, ParseError> {
-        let mut terms = vec![self.parse_and()?];
+    fn parse_or(&mut self, depth: usize) -> Result<Prop<'g, G>, ParseError> {
+        let mut terms = vec![self.parse_and(depth)?];
         while self.eat('|') {
-            terms.push(self.parse_and()?);
+            terms.push(self.parse_and(depth)?);
         }
         Ok(if terms.len() == 1 {
             terms.pop().expect("one term")
@@ -1497,10 +1470,10 @@ impl<'g, G: PropGraph> Parser<'_, '_, 'g, G> {
         })
     }
 
-    fn parse_and(&mut self) -> Result<Prop<'g, G>, ParseError> {
-        let mut terms = vec![self.parse_unary()?];
+    fn parse_and(&mut self, depth: usize) -> Result<Prop<'g, G>, ParseError> {
+        let mut terms = vec![self.parse_unary(depth)?];
         while self.eat('&') {
-            terms.push(self.parse_unary()?);
+            terms.push(self.parse_unary(depth)?);
         }
         Ok(if terms.len() == 1 {
             terms.pop().expect("one term")
@@ -1509,12 +1482,17 @@ impl<'g, G: PropGraph> Parser<'_, '_, 'g, G> {
         })
     }
 
-    fn parse_unary(&mut self) -> Result<Prop<'g, G>, ParseError> {
+    /// `depth` counts the `!` and `(` open around this unary.
+    fn parse_unary(&mut self, depth: usize) -> Result<Prop<'g, G>, ParseError> {
+        if depth > MAX_NESTING {
+            // `pos` is just past the `!` or `(` that opened one too many.
+            return Err(too_deep(self.pos - 1));
+        }
         if self.eat('!') {
-            return Ok(Prop::not(self.parse_unary()?));
+            return Ok(Prop::not(self.parse_unary(depth + 1)?));
         }
         if self.eat('(') {
-            let inner = self.parse_or()?;
+            let inner = self.parse_or(depth + 1)?;
             self.expect(')')?;
             return Ok(inner);
         }
@@ -1564,10 +1542,15 @@ impl<'g, G: PropGraph> Parser<'_, '_, 'g, G> {
             }
             self.expect(')')?;
         }
-        (self.vocab)(&name, &args).ok_or(ParseError {
+        if let Some((.., a)) = self.atoms.iter().find(|(n, v, _)| *n == name && *v == args) {
+            return Ok(a.clone());
+        }
+        let a = (self.vocab)(&name, &args).ok_or_else(|| ParseError {
             at,
             msg: format!("unknown atom {name:?} with {} argument(s)", args.len()),
-        })
+        })?;
+        self.atoms.push((name, args, a.clone()));
+        Ok(a)
     }
 }
 
@@ -1608,12 +1591,14 @@ fn collect_atoms<'g, G: PropGraph>(
 mod tests {
     use super::*;
 
-    /// A hand-built substrate: explicit edges with task lanes, a
-    /// BFS-tree computed from the edge lists, and a per-state
-    /// applicability table for fairness tests.
+    /// A hand-built substrate: explicit edges with task lanes in a
+    /// forward CSR plus its transpose, a BFS-tree computed from the
+    /// edge lists, and a per-state applicability table for fairness
+    /// tests.
     struct ToyGraph {
         states: Vec<usize>,
-        edges: Vec<Vec<(usize, usize)>>,
+        edges: Csr<Edge>,
+        preds: Csr<StateId>,
         roots: Vec<usize>,
         parent: Vec<Option<usize>>,
         open: bool,
@@ -1624,9 +1609,9 @@ mod tests {
 
     impl ToyGraph {
         fn new(n: usize, roots: &[usize], edges: &[(usize, usize, usize)]) -> Self {
-            let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+            let mut rows: Vec<Vec<Edge>> = vec![Vec::new(); n];
             for &(from, lane, to) in edges {
-                rows[from].push((lane, to));
+                rows[from].push((lane as u32, StateId::from_index(to)));
             }
             // BFS tree for witness paths.
             let mut parent = vec![None; n];
@@ -1640,17 +1625,25 @@ mod tests {
                 let u = queue[qi];
                 qi += 1;
                 for &(_, v) in &rows[u] {
-                    if !seen[v] {
-                        seen[v] = true;
-                        parent[v] = Some(u);
-                        queue.push(v);
+                    if !seen[v.index()] {
+                        seen[v.index()] = true;
+                        parent[v.index()] = Some(u);
+                        queue.push(v.index());
                     }
                 }
             }
             assert!(seen.iter().all(|s| *s), "all toy states must be reachable");
+            let mut csr = Csr::new();
+            for row in rows {
+                for e in row {
+                    csr.push(e);
+                }
+                csr.close_row();
+            }
             ToyGraph {
                 states: (0..n).collect(),
-                edges: rows,
+                preds: csr.reversed(|e| e.1.index(), |src, _| StateId::from_index(src)),
+                edges: csr,
                 roots: roots.to_vec(),
                 parent,
                 open: false,
@@ -1694,10 +1687,11 @@ mod tests {
         fn parent_of(&self, id: StateId) -> Option<StateId> {
             self.parent[id.index()].map(StateId::from_index)
         }
-        fn for_each_edge(&self, id: StateId, f: &mut dyn FnMut(usize, StateId)) {
-            for &(lane, to) in &self.edges[id.index()] {
-                f(lane, StateId::from_index(to));
-            }
+        fn successors(&self, id: StateId) -> &[Edge] {
+            self.edges.row(id.index())
+        }
+        fn preds(&self) -> &Csr<StateId> {
+            &self.preds
         }
         fn task_count(&self) -> usize {
             self.tasks
@@ -1713,6 +1707,132 @@ mod tests {
 
     fn ids(raw: &[usize]) -> Vec<StateId> {
         raw.iter().map(|&i| StateId::from_index(i)).collect()
+    }
+
+    /// `0 → 1 → … → n - 1`, one task.
+    fn chain(n: usize) -> ToyGraph {
+        let edges: Vec<_> = (1..n).map(|k| (k - 1, 0, k)).collect();
+        ToyGraph::new(n, &[0], &edges)
+    }
+
+    /// The textual vocabulary of the parser tests: `goal(k)` is
+    /// `is(k)`, `top` holds everywhere.
+    fn toy_vocab(name: &str, args: &[i64]) -> Option<Atom<'static, ToyGraph>> {
+        match (name, args) {
+            ("goal", [k]) => {
+                let k = usize::try_from(*k).ok()?;
+                Some(is(k))
+            }
+            ("top", []) => Some(Atom::on_state("top", |_: &usize| true)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn empty_graph_every_universal_holds_every_existential_fails() {
+        // No roots: the graph has no states at all.
+        let g = ToyGraph::new(0, &[], &[]);
+        assert_eq!(g.state_count(), 0);
+        assert_eq!(evaluate(&g, &Prop::always(is(0))).verdict, Verdict::Holds);
+        assert_eq!(
+            evaluate(&g, &Prop::eventually(is(0))).verdict,
+            Verdict::Holds
+        );
+        assert_eq!(
+            evaluate(&g, &Prop::exists_path(is(0))).verdict,
+            Verdict::Fails
+        );
+        assert_eq!(evaluate(&g, &Prop::now(is(0))).verdict, Verdict::Holds);
+        let report = evaluate_batch(&g, &[Prop::always(is(0)), Prop::exists_path(is(1))]);
+        assert!(report.passes.forward <= 1, "zero states need no real scan");
+        assert_eq!(report.passes.backward, 0, "nothing to sweep backward");
+    }
+
+    #[test]
+    fn truncated_graph_eventually_is_unknown_not_false() {
+        // A counter that would reach 9, cut by a state budget after
+        // {0..4}: the frontier is open, so "eventually is(9)" is not
+        // refutable — the missing suffix could decide it either way.
+        let g = chain(5).truncated();
+        assert!(g.frontier_open());
+        let ev = evaluate(&g, &Prop::eventually(is(9)));
+        assert_eq!(ev.verdict, Verdict::Unknown);
+        assert!(
+            ev.reason.as_deref().unwrap_or("").contains("frontier open"),
+            "reason must name the open frontier, got {:?}",
+            ev.reason
+        );
+        // Same for a goal that *is* inside the kept prefix but not at the
+        // root: a kept path reaches it, yet some unexplored branch might
+        // not — with one task here it actually must, but the evaluator may
+        // not assume that, so Unknown is the only sound answer.
+        assert_eq!(
+            evaluate(&g, &Prop::eventually(is(3))).verdict,
+            Verdict::Unknown
+        );
+        // A root that already satisfies the goal is decided despite the
+        // truncation.
+        assert_eq!(
+            evaluate(&g, &Prop::eventually(is(0))).verdict,
+            Verdict::Holds
+        );
+        // Explored facts stay decisive; absences go unknown.
+        assert_eq!(
+            evaluate(&g, &Prop::exists_path(is(3))).verdict,
+            Verdict::Holds
+        );
+        assert_eq!(
+            evaluate(&g, &Prop::exists_path(is(9))).verdict,
+            Verdict::Unknown
+        );
+        assert_eq!(
+            evaluate(&g, &Prop::always(is(0))).verdict,
+            Verdict::Fails,
+            "an explored violation refutes the invariant even when open"
+        );
+        assert_eq!(
+            evaluate(
+                &g,
+                &Prop::always(Atom::on_state("low", |s: &usize| *s < 100))
+            )
+            .verdict,
+            Verdict::Unknown
+        );
+        // The backward sweep is skipped entirely on open frontiers.
+        let report = evaluate_batch(&g, &[Prop::eventually(is(9)), Prop::leads_to(is(1), is(3))]);
+        assert_eq!(report.passes.backward, 0);
+        assert!(report.results.iter().all(|e| e.verdict == Verdict::Unknown));
+    }
+
+    #[test]
+    fn single_state_graph() {
+        let g = chain(1);
+        assert_eq!(g.state_count(), 1);
+        assert!(!g.frontier_open());
+        // The lone state is terminal: every maximal path is just it.
+        assert_eq!(evaluate(&g, &Prop::always(is(0))).verdict, Verdict::Holds);
+        assert_eq!(
+            evaluate(&g, &Prop::eventually(is(0))).verdict,
+            Verdict::Holds
+        );
+        let miss = evaluate(&g, &Prop::eventually(is(1)));
+        assert_eq!(miss.verdict, Verdict::Fails);
+        assert_eq!(
+            miss.witness,
+            Some(Witness::Path(g.root_ids())),
+            "the counterexample is the root itself, already terminal"
+        );
+        let hit = evaluate(&g, &Prop::exists_path(is(0)));
+        assert_eq!(hit.verdict, Verdict::Holds);
+        assert_eq!(hit.witness, Some(Witness::Path(g.root_ids())));
+        assert_eq!(
+            evaluate(&g, &Prop::leads_to(is(0), is(0))).verdict,
+            Verdict::Holds
+        );
+        assert_eq!(
+            evaluate(&g, &Prop::leads_to(is(0), is(1))).verdict,
+            Verdict::Fails
+        );
     }
 
     #[test]
@@ -1945,16 +2065,7 @@ mod tests {
 
     #[test]
     fn parser_round_trips_and_reports_errors() {
-        let vocab = |name: &str, args: &[i64]| -> Option<Atom<'static, ToyGraph>> {
-            match (name, args) {
-                ("goal", [k]) => {
-                    let k = usize::try_from(*k).ok()?;
-                    Some(is(k))
-                }
-                ("top", []) => Some(Atom::on_state("top", |_: &usize| true)),
-                _ => None,
-            }
-        };
+        let vocab = toy_vocab;
         let props =
             parse_props::<ToyGraph>("always(top) & ef(goal(3)) | !af(goal(1)); top", &vocab)
                 .unwrap();
@@ -1980,5 +2091,92 @@ mod tests {
             nested[0].to_string(),
             "!(now(top) & leads_to(is(1), is(3)))"
         );
+    }
+
+    #[test]
+    fn parser_steps_over_multi_byte_whitespace() {
+        for src in [
+            "always(top)\u{a0}",
+            "\u{3000}always(top)",
+            "always(\u{2003}goal(\u{85}1\u{a0}))\u{3000};\u{a0}top",
+        ] {
+            let props =
+                parse_props::<ToyGraph>(src, &toy_vocab).unwrap_or_else(|e| panic!("{src:?}: {e}"));
+            assert_eq!(props[0].to_string().split('(').next(), Some("always"));
+        }
+    }
+
+    #[test]
+    fn parsed_batches_share_atoms() {
+        use std::cell::Cell;
+        let (resolved, evaluated) = (Cell::new(0usize), Rc::new(Cell::new(0usize)));
+        let vocab = |name: &str, _: &[i64]| -> Option<Atom<'static, ToyGraph>> {
+            resolved.set(resolved.get() + 1);
+            let evaluated = Rc::clone(&evaluated);
+            (name == "counted").then(|| {
+                Atom::new("counted", move |_: &ToyGraph, _| {
+                    evaluated.set(evaluated.get() + 1);
+                    true
+                })
+            })
+        };
+        let props = parse_props::<ToyGraph>(
+            "always(counted); ef(counted) & counted; af( counted ); leads_to(counted, counted)",
+            &vocab,
+        )
+        .unwrap();
+        assert_eq!(resolved.get(), 1, "one vocabulary call per atom text");
+        let report = evaluate_batch(&ToyGraph::new(2, &[0], &[(0, 0, 1)]), &props);
+        assert_eq!(evaluated.get(), 2, "one evaluation per state, batch-wide");
+        assert_eq!(report.passes.backward, 1);
+        assert!(report.results.iter().all(|e| e.verdict == Verdict::Holds));
+    }
+
+    #[test]
+    fn parser_refuses_more_distinct_targets_than_lanes() {
+        let targets = |k: usize| {
+            (0..k)
+                .map(|j| format!("af(goal({j}))"))
+                .collect::<Vec<_>>()
+                .join("; ")
+        };
+        assert_eq!(
+            parse_props::<ToyGraph>(&targets(fixpoint::MAX_LANES), &toy_vocab).map(|ps| ps.len()),
+            Ok(fixpoint::MAX_LANES)
+        );
+        let err =
+            parse_props::<ToyGraph>(&targets(fixpoint::MAX_LANES + 1), &toy_vocab).unwrap_err();
+        assert!(err.msg.contains("at most 64 distinct"), "{err}");
+        // A repeated target is one lane, however often it is named.
+        let repeated = "leads_to(top, goal(1)); af(goal(1)); ".repeat(fixpoint::MAX_LANES);
+        let props = parse_props::<ToyGraph>(&repeated, &toy_vocab).unwrap();
+        let report = evaluate_batch(&ToyGraph::new(2, &[0], &[(0, 0, 1)]), &props);
+        assert_eq!(report.results.len(), 2 * fixpoint::MAX_LANES);
+        assert_eq!(report.passes.backward, 1);
+    }
+
+    #[test]
+    fn parser_caps_nesting() {
+        let bangs = |k: usize| format!("{}top", "!".repeat(k));
+        let parens = |k: usize| format!("{}top{}", "(".repeat(k), ")".repeat(k));
+        for deep in [bangs(MAX_NESTING), parens(MAX_NESTING)] {
+            assert!(parse_props::<ToyGraph>(&deep, &toy_vocab).is_ok());
+        }
+        for too_deep in [
+            bangs(MAX_NESTING + 1),
+            parens(MAX_NESTING + 1),
+            bangs(100_000),
+            parens(20_000),
+            // Within the `!` cap, but the `&` node adds a level.
+            format!("{} & top", bangs(MAX_NESTING)),
+        ] {
+            let err = parse_props::<ToyGraph>(&too_deep, &toy_vocab).unwrap_err();
+            assert!(err.msg.contains("deeper than 256 levels"), "{err}");
+        }
+        // Accepted text prints as text that parses again.
+        let edge = format!("{} & top", bangs(MAX_NESTING - 1));
+        let printed = parse_props::<ToyGraph>(&edge, &toy_vocab).unwrap()[0].to_string();
+        let again = parse_props::<ToyGraph>(&printed, &toy_vocab).unwrap();
+        assert_eq!(again[0].to_string(), printed);
     }
 }

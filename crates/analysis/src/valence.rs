@@ -143,8 +143,8 @@ pub struct ValenceMap<P: ProcessAutomaton> {
     edges: Csr<Edge>,
     /// Reverse CSR: row `id` holds the predecessors of `id`, one entry
     /// per forward edge, in `(source, position)` order. Drives the
-    /// backward valence fixpoint and is exposed via
-    /// [`ValenceMap::predecessors`].
+    /// backward valence fixpoint and the property evaluator's `AF`
+    /// sweep, and is exposed via [`ValenceMap::preds`].
     preds: Csr<StateId>,
     /// BFS tree: the predecessor that first discovered each non-root
     /// state.
@@ -621,6 +621,11 @@ impl<P: ProcessAutomaton> ValenceMap<P> {
     #[inline]
     pub fn predecessors(&self, id: StateId) -> &[StateId] {
         self.preds.row(id.index())
+    }
+
+    /// Every state's [`ValenceMap::predecessors`], as one reverse CSR.
+    pub fn preds(&self) -> &Csr<StateId> {
+        &self.preds
     }
 }
 

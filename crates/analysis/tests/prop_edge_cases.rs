@@ -1,171 +1,19 @@
-//! Evaluator edge cases: empty graphs, truncated graphs (where
-//! `eventually` must answer "unknown / frontier open", never a false
-//! verdict), single-state graphs, and properties over failed-process
-//! masks.
+//! Evaluator edge cases over the system substrate: properties over
+//! failed-process masks, process indices outside the system, and a
+//! deterministic fuzz of the textual property parser. The empty,
+//! truncated and single-state graph cases run on the hand-built
+//! substrate of `analysis::prop`'s unit tests.
 
-use analysis::prop::{atoms, evaluate, evaluate_batch, Atom, Prop, SystemGraph, Verdict, Witness};
+use analysis::prop::{
+    atoms, evaluate_batch, parse_props, system_vocab, Prop, SystemGraph, Verdict,
+};
 use analysis::valence::ValenceMap;
-use ioa::automaton::{ActionKind, Automaton};
-use ioa::explore::{ExploreOptions, ExploredGraph};
+use ioa::rng::SplitMix64;
 use protocols::doomed::doomed_atomic;
 use spec::ProcId;
 use system::consensus::InputAssignment;
+use system::process::direct::DirectConsensus;
 use system::sched::initialize;
-
-/// A bounded counter: state `k` steps to `k + 1` until `limit`.
-#[derive(Clone, Debug)]
-struct Counter {
-    limit: usize,
-}
-
-impl Automaton for Counter {
-    type State = usize;
-    type Action = usize;
-    type Task = usize;
-
-    fn initial_states(&self) -> Vec<usize> {
-        vec![0]
-    }
-    fn tasks(&self) -> Vec<usize> {
-        vec![0]
-    }
-    fn succ_all(&self, _t: &usize, s: &usize) -> Vec<(usize, usize)> {
-        if *s < self.limit {
-            vec![(*s, s + 1)]
-        } else {
-            Vec::new()
-        }
-    }
-    fn apply_input(&self, _s: &usize, _a: &usize) -> Option<usize> {
-        None
-    }
-    fn kind(&self, _a: &usize) -> ActionKind {
-        ActionKind::Internal
-    }
-}
-
-fn explore(limit: usize, budget: usize) -> ExploredGraph<Counter> {
-    ExploredGraph::explore_with(
-        &Counter { limit },
-        vec![0],
-        ExploreOptions::with_budget(budget),
-    )
-}
-
-fn at(k: usize) -> Atom<'static, ExploredGraph<Counter>> {
-    Atom::on_state(format!("at({k})"), move |s: &usize| *s == k)
-}
-
-#[test]
-fn empty_graph_every_universal_holds_every_existential_fails() {
-    // No roots: the graph has no states at all.
-    let g = ExploredGraph::explore_with(
-        &Counter { limit: 3 },
-        Vec::new(),
-        ExploreOptions::with_budget(10),
-    );
-    assert_eq!(g.len(), 0);
-    assert_eq!(evaluate(&g, &Prop::always(at(0))).verdict, Verdict::Holds);
-    assert_eq!(
-        evaluate(&g, &Prop::eventually(at(0))).verdict,
-        Verdict::Holds
-    );
-    assert_eq!(
-        evaluate(&g, &Prop::exists_path(at(0))).verdict,
-        Verdict::Fails
-    );
-    assert_eq!(evaluate(&g, &Prop::now(at(0))).verdict, Verdict::Holds);
-    let report = evaluate_batch(&g, &[Prop::always(at(0)), Prop::exists_path(at(1))]);
-    assert!(report.passes.forward <= 1, "zero states need no real scan");
-    assert_eq!(report.passes.backward, 0, "nothing to sweep backward");
-}
-
-#[test]
-fn truncated_graph_eventually_is_unknown_not_false() {
-    // The counter reaches 9 but the budget keeps only {0..4}: the
-    // frontier is open, so "eventually at(9)" is not refutable — the
-    // missing suffix could decide it either way.
-    let g = explore(9, 5);
-    assert!(g.stats().truncated());
-    let ev = evaluate(&g, &Prop::eventually(at(9)));
-    assert_eq!(ev.verdict, Verdict::Unknown);
-    assert!(
-        ev.reason.as_deref().unwrap_or("").contains("frontier open"),
-        "reason must name the open frontier, got {:?}",
-        ev.reason
-    );
-    // Same for a goal that *is* inside the kept prefix but not at the
-    // root: a kept path reaches it, yet some unexplored branch might
-    // not — with one task here it actually must, but the evaluator may
-    // not assume that, so Unknown is the only sound answer.
-    assert_eq!(
-        evaluate(&g, &Prop::eventually(at(3))).verdict,
-        Verdict::Unknown
-    );
-    // A root that already satisfies the goal is decided despite the
-    // truncation.
-    assert_eq!(
-        evaluate(&g, &Prop::eventually(at(0))).verdict,
-        Verdict::Holds
-    );
-    // Explored facts stay decisive; absences go unknown.
-    assert_eq!(
-        evaluate(&g, &Prop::exists_path(at(3))).verdict,
-        Verdict::Holds
-    );
-    assert_eq!(
-        evaluate(&g, &Prop::exists_path(at(9))).verdict,
-        Verdict::Unknown
-    );
-    assert_eq!(
-        evaluate(&g, &Prop::always(at(0))).verdict,
-        Verdict::Fails,
-        "an explored violation refutes the invariant even when open"
-    );
-    assert_eq!(
-        evaluate(
-            &g,
-            &Prop::always(Atom::on_state("low", |s: &usize| *s < 100))
-        )
-        .verdict,
-        Verdict::Unknown
-    );
-    // The backward sweep is skipped entirely on open frontiers.
-    let report = evaluate_batch(&g, &[Prop::eventually(at(9)), Prop::leads_to(at(1), at(3))]);
-    assert_eq!(report.passes.backward, 0);
-    assert!(report.results.iter().all(|e| e.verdict == Verdict::Unknown));
-}
-
-#[test]
-fn single_state_graph() {
-    let g = explore(0, 10);
-    assert_eq!(g.len(), 1);
-    assert!(!g.stats().truncated());
-    // The lone state is terminal: every maximal path is just it.
-    assert_eq!(evaluate(&g, &Prop::always(at(0))).verdict, Verdict::Holds);
-    assert_eq!(
-        evaluate(&g, &Prop::eventually(at(0))).verdict,
-        Verdict::Holds
-    );
-    let miss = evaluate(&g, &Prop::eventually(at(1)));
-    assert_eq!(miss.verdict, Verdict::Fails);
-    assert_eq!(
-        miss.witness,
-        Some(Witness::Path(vec![g.roots()[0]])),
-        "the counterexample is the root itself, already terminal"
-    );
-    let hit = evaluate(&g, &Prop::exists_path(at(0)));
-    assert_eq!(hit.verdict, Verdict::Holds);
-    assert_eq!(hit.witness, Some(Witness::Path(vec![g.roots()[0]])));
-    assert_eq!(
-        evaluate(&g, &Prop::leads_to(at(0), at(0))).verdict,
-        Verdict::Holds
-    );
-    assert_eq!(
-        evaluate(&g, &Prop::leads_to(at(0), at(1))).verdict,
-        Verdict::Fails
-    );
-}
 
 #[test]
 fn failed_process_masks() {
@@ -258,4 +106,176 @@ fn process_indices_outside_the_system_name_no_process() {
     );
     assert_eq!(report.results[0].verdict, Verdict::Holds);
     assert_eq!(report.results[1].verdict, Verdict::Holds);
+}
+
+/// Atom texts `system_vocab` resolves.
+const ATOMS: &[&str] = &[
+    "bivalent",
+    "univalent",
+    "zero_valent",
+    "one_valent",
+    "undecided",
+    "decided",
+    "decided(0)",
+    "decided(1)",
+    "decided(-7)",
+    "safe",
+    "no_failures",
+    "quiescent",
+    "proc_decided(2)",
+    "proc_decided(40)",
+    "failed(0)",
+    "failed(99)",
+];
+
+/// Atom texts it refuses: unknown names, negative or overflowing
+/// arguments, wrong arities.
+const BAD_ATOMS: &[&str] = &[
+    "nope",
+    "proc_decided(-1)",
+    "failed(-3)",
+    "decided(99999999999999999999)",
+    "safe(1)",
+    "decided(1, 2)",
+    "proc_decided",
+];
+
+const OPS: &[&str] = &[
+    "now",
+    "always",
+    "ag",
+    "invariant",
+    "exists_path",
+    "ef",
+    "eventually",
+    "af",
+    "fair_eventually",
+    "af_fair",
+];
+
+/// ASCII and multi-byte whitespace.
+const SPACE: &[&str] = &[
+    "", " ", "\t", "\n", "\u{a0}", "\u{85}", "\u{2003}", "\u{3000}",
+];
+
+const STRAY: &[&str] = &[
+    "(", ")", ",", ";", "!", "&", "|", "leads_to", "#", "é", "λ", "-", "42", "\0", "😀", "_x",
+];
+
+fn pick<'a>(rng: &mut SplitMix64, xs: &[&'a str]) -> &'a str {
+    xs[rng.gen_range(xs.len())]
+}
+
+fn atom(rng: &mut SplitMix64) -> &'static str {
+    if rng.gen_range(20) == 0 {
+        pick(rng, BAD_ATOMS)
+    } else {
+        pick(rng, ATOMS)
+    }
+}
+
+/// A random property of the grammar, with at most `depth` levels of
+/// `!`, `(`, `&` and `|`.
+fn prop(rng: &mut SplitMix64, depth: usize) -> String {
+    let arms = if depth == 0 { 3 } else { 7 };
+    match rng.gen_range(arms) {
+        0 => atom(rng).to_string(),
+        1 => format!("{}({}{})", pick(rng, OPS), pick(rng, SPACE), atom(rng)),
+        2 => format!("leads_to({},{}{})", atom(rng), pick(rng, SPACE), atom(rng)),
+        3 => format!("!{}{}", pick(rng, SPACE), prop(rng, depth - 1)),
+        4 => format!("({}{})", prop(rng, depth - 1), pick(rng, SPACE)),
+        5 => format!("{} & {}", prop(rng, depth - 1), prop(rng, depth - 1)),
+        _ => format!(
+            "{}{}|{}",
+            prop(rng, depth - 1),
+            pick(rng, SPACE),
+            prop(rng, depth - 1)
+        ),
+    }
+}
+
+/// One to four properties joined by `;`, one of them sometimes wrapped
+/// in `!`s or parentheses nested around the parser's 256-level cap or
+/// far past it.
+fn batch(rng: &mut SplitMix64) -> String {
+    let mut props: Vec<String> = (0..=rng.gen_range(4)).map(|_| prop(rng, 4)).collect();
+    if rng.gen_range(8) == 0 {
+        let k = [250, 255, 256, 257, 300, 5_000][rng.gen_range(6)];
+        let p = props.pop().expect("at least one property");
+        props.push(if rng.gen_bool() {
+            format!("{}{p}", "!".repeat(k))
+        } else {
+            format!("{}{p}{}", "(".repeat(k), ")".repeat(k))
+        });
+    }
+    let sep = format!("{};{}", pick(rng, SPACE), pick(rng, SPACE));
+    props.join(&sep)
+}
+
+/// `src` with one to three characters deleted, or tokens inserted, at
+/// random character positions.
+fn mutate(rng: &mut SplitMix64, src: String) -> String {
+    let mut chars: Vec<char> = src.chars().collect();
+    for _ in 0..=rng.gen_range(3) {
+        let at = rng.gen_range(chars.len() + 1);
+        if at < chars.len() && rng.gen_bool() {
+            chars.remove(at);
+        } else {
+            let token = if rng.gen_bool() {
+                pick(rng, STRAY)
+            } else {
+                pick(rng, SPACE)
+            };
+            chars.splice(at..at, token.chars());
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// A run of random tokens of every kind.
+fn soup(rng: &mut SplitMix64) -> String {
+    (0..=rng.gen_range(12))
+        .map(|_| match rng.gen_range(4) {
+            0 => atom(rng),
+            1 => pick(rng, OPS),
+            2 => pick(rng, SPACE),
+            _ => pick(rng, STRAY),
+        })
+        .collect()
+}
+
+#[test]
+fn parse_props_never_panics_and_its_display_parses_back() {
+    let vocab = system_vocab::<DirectConsensus>(InputAssignment::monotone(3, 1));
+    let parse = |src: &str| parse_props::<SystemGraph<'_, DirectConsensus>>(src, &vocab);
+    let show = |props: &[Prop<'_, _>]| {
+        props
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ")
+    };
+    let mut rng = SplitMix64::seed_from_u64(0x05ee_d0f9_a25e);
+    let (mut parsed, mut too_deep) = (0, 0);
+    for case in 0..3_000 {
+        let src = match case % 3 {
+            0 => batch(&mut rng),
+            1 => {
+                let src = batch(&mut rng);
+                mutate(&mut rng, src)
+            }
+            _ => soup(&mut rng),
+        };
+        match parse(&src) {
+            Ok(props) => {
+                parsed += 1;
+                let printed = show(&props);
+                let again = parse(&printed).unwrap_or_else(|e| panic!("{printed:?}: {e}"));
+                assert_eq!(show(&again), printed, "from {src:?}");
+            }
+            Err(e) => too_deep += usize::from(e.msg.contains("deeper than 256")),
+        }
+    }
+    assert!(parsed >= 500, "only {parsed} of 3000 inputs parsed");
+    assert!(too_deep > 0, "no input nested past the cap");
 }

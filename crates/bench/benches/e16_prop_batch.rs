@@ -5,13 +5,18 @@
 //! doomed-atomic sweep, two ways:
 //!
 //! * `sequential_*` — one `analysis::prop::evaluate` call per
-//!   property: each pays its own forward scan of the CSR (atom
-//!   evaluation + edge materialization) and, where needed, its own
+//!   property: each pays its own forward scan (evaluating that
+//!   property's atoms at every state) and, where needed, its own
 //!   backward fixpoint;
 //! * `fused_*` — one `evaluate_batch` call: all properties share a
-//!   single forward scan and a single multi-lane backward sweep
+//!   single forward scan, which evaluates each distinct atom once per
+//!   state (`parse_props` hands every occurrence of an atom text the
+//!   same `Atom`), and a single multi-lane backward sweep
 //!   (`ioa::fixpoint::backward_universal`), the invariant the CI
 //!   pass-counter gate enforces.
+//!
+//! Neither regime copies the graph: both read the valence map's own
+//! forward rows and reverse CSR.
 //!
 //! Both regimes must return identical evaluations (asserted every
 //! run), and the fused regime must win end to end (asserted on the

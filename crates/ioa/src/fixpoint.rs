@@ -17,7 +17,9 @@
 //!
 //! Both engines run over a reverse CSR (`preds.row(s)` = predecessors
 //! of `s`, one entry per forward edge — see [`crate::csr::Csr::reversed`])
-//! and propagate up to 64 independent lanes at once, so a batch of
+//! and need nothing else from the graph: the universal engine counts
+//! each state's out-degree as its number of entries across all rows.
+//! They propagate up to 64 independent lanes at once, so a batch of
 //! properties shares a single worklist sweep instead of re-walking the
 //! graph once per property. Fixpoints of monotone bit functions are
 //! confluent: the result is independent of worklist order and of how
@@ -67,21 +69,15 @@ pub fn backward_union(preds: &Csr<StateId>, masks: &mut [u64]) {
 /// `masks[s] := seed(s) | { j : out_degree(s) > 0 ∧ ∀ s → s'. j ∈ masks[s'] }`.
 ///
 /// `masks` holds the seed (goal) bits on entry and the fixpoint on
-/// exit; `out_degree[s]` must be the forward out-degree of `s`
-/// (parallel edges counted, matching the reverse CSR's one entry per
-/// forward edge). `lanes` bounds the occupied bit positions; bits at
-/// `lanes` and above must be zero in every seed.
+/// exit. A state's out-degree is its number of entries in `preds`
+/// (one per forward edge, parallel edges counted). `lanes` bounds the
+/// occupied bit positions; bits at `lanes` and above must be zero in
+/// every seed.
 ///
 /// Each `(reverse edge, lane)` pair is processed at most once — the
 /// whole batch of lanes costs one sweep.
-pub fn backward_universal(
-    preds: &Csr<StateId>,
-    out_degree: &[u32],
-    lanes: usize,
-    masks: &mut [u64],
-) {
+pub fn backward_universal(preds: &Csr<StateId>, lanes: usize, masks: &mut [u64]) {
     assert_eq!(preds.rows(), masks.len(), "one mask per state");
-    assert_eq!(out_degree.len(), masks.len(), "one out-degree per state");
     assert!(lanes <= MAX_LANES, "at most {MAX_LANES} lanes per sweep");
     let lane_guard = if lanes == MAX_LANES {
         u64::MAX
@@ -90,14 +86,16 @@ pub fn backward_universal(
     };
     debug_assert!(masks.iter().all(|m| m & !lane_guard == 0));
 
+    let mut out_degree = vec![0u32; masks.len()];
+    for (_, p) in preds.iter() {
+        out_degree[p.index()] += 1;
+    }
     // remaining[s * lanes + j] = successors of s not yet known to carry
     // lane j. A seeded state carries its lanes unconditionally, so its
     // counters for those lanes are never consulted.
     let mut remaining: Vec<u32> = Vec::with_capacity(masks.len() * lanes);
-    for &d in out_degree {
-        for _ in 0..lanes {
-            remaining.push(d);
-        }
+    for d in out_degree {
+        remaining.extend(std::iter::repeat_n(d, lanes));
     }
     let mut work: Vec<(u32, u64)> = masks
         .iter()
@@ -133,28 +131,24 @@ pub fn backward_universal(
 mod tests {
     use super::*;
 
-    /// Builds a reverse CSR from forward edges over `n` states, plus
-    /// the forward out-degrees.
-    fn reverse_of(n: usize, edges: &[(usize, usize)]) -> (Csr<StateId>, Vec<u32>) {
+    /// Builds a reverse CSR from forward edges over `n` states.
+    fn reverse_of(n: usize, edges: &[(usize, usize)]) -> Csr<StateId> {
         let mut fwd: Csr<StateId> = Csr::new();
-        let mut deg = vec![0u32; n];
-        for (s, d) in deg.iter_mut().enumerate() {
+        for s in 0..n {
             for (a, b) in edges {
                 if *a == s {
                     fwd.push(StateId::from_index(*b));
-                    *d += 1;
                 }
             }
             fwd.close_row();
         }
-        let preds = fwd.reversed(|t| t.index(), |src, _| StateId::from_index(src));
-        (preds, deg)
+        fwd.reversed(|t| t.index(), |src, _| StateId::from_index(src))
     }
 
     #[test]
     fn union_propagates_to_all_ancestors() {
         // 0 → 1 → 2, 0 → 3; seed lane 0 at state 2, lane 1 at state 3.
-        let (preds, _) = reverse_of(4, &[(0, 1), (1, 2), (0, 3)]);
+        let preds = reverse_of(4, &[(0, 1), (1, 2), (0, 3)]);
         let mut m = vec![0, 0, 0b01, 0b10];
         backward_union(&preds, &mut m);
         assert_eq!(m, vec![0b11, 0b01, 0b01, 0b10]);
@@ -163,7 +157,7 @@ mod tests {
     #[test]
     fn union_crosses_cycles() {
         // 0 ⇄ 1, 1 → 2; seed at 2 reaches both cycle states.
-        let (preds, _) = reverse_of(3, &[(0, 1), (1, 0), (1, 2)]);
+        let preds = reverse_of(3, &[(0, 1), (1, 0), (1, 2)]);
         let mut m = vec![0, 0, 1];
         backward_union(&preds, &mut m);
         assert_eq!(m, vec![1, 1, 1]);
@@ -173,9 +167,9 @@ mod tests {
     fn universal_requires_all_branches() {
         // 0 → {1, 2}; 1 → 3; 2 → 3. Goal = {3}: every maximal path
         // reaches it, so AF holds everywhere.
-        let (preds, deg) = reverse_of(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let preds = reverse_of(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let mut m = vec![0, 0, 0, 1];
-        backward_universal(&preds, &deg, 1, &mut m);
+        backward_universal(&preds, 1, &mut m);
         assert_eq!(m, vec![1, 1, 1, 1]);
     }
 
@@ -183,18 +177,18 @@ mod tests {
     fn universal_fails_on_escaping_branch_and_cycles() {
         // 0 → {1, 2}; 1 → goal 3; 2 → 2′ loop (4 ⇄ 2). The branch into
         // the cycle never reaches the goal, so AF fails at 0 and 2.
-        let (preds, deg) = reverse_of(5, &[(0, 1), (0, 2), (1, 3), (2, 4), (4, 2)]);
+        let preds = reverse_of(5, &[(0, 1), (0, 2), (1, 3), (2, 4), (4, 2)]);
         let mut m = vec![0, 0, 0, 1, 0];
-        backward_universal(&preds, &deg, 1, &mut m);
+        backward_universal(&preds, 1, &mut m);
         assert_eq!(m, vec![0, 1, 0, 1, 0]);
     }
 
     #[test]
     fn universal_terminal_non_goal_states_stay_unset() {
         // 0 → 1 (terminal, not a goal): AF(goal) false at both.
-        let (preds, deg) = reverse_of(2, &[(0, 1)]);
+        let preds = reverse_of(2, &[(0, 1)]);
         let mut m = vec![0, 0];
-        backward_universal(&preds, &deg, 1, &mut m);
+        backward_universal(&preds, 1, &mut m);
         assert_eq!(m, vec![0, 0]);
     }
 
@@ -202,9 +196,9 @@ mod tests {
     fn universal_runs_many_lanes_in_one_sweep() {
         // Chain 0 → 1 → 2 with distinct goals per lane: lane j seeded
         // at state j reaches exactly states 0..=j.
-        let (preds, deg) = reverse_of(3, &[(0, 1), (1, 2)]);
+        let preds = reverse_of(3, &[(0, 1), (1, 2)]);
         let mut m = vec![0b001, 0b010, 0b100];
-        backward_universal(&preds, &deg, 3, &mut m);
+        backward_universal(&preds, 3, &mut m);
         assert_eq!(m, vec![0b111, 0b110, 0b100]);
     }
 }

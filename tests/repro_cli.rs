@@ -13,7 +13,11 @@
 //! line and exit 2 before the library's own assertions can panic, and
 //! so must a flag the subcommand (or `certify`'s chosen construction)
 //! does not read, a repeated flag, a flag without its value, and a
-//! stray or missing operand. No refusal prints anything to stdout.
+//! stray or missing operand. No property text panics or aborts the
+//! parser: multi-byte whitespace is whitespace, a repeated
+//! `eventually` target is one backward lane, and nesting past the cap
+//! or more distinct `eventually` targets than lanes is refused the same
+//! way. No refusal prints anything to stdout.
 
 use std::process::{Command, Output};
 
@@ -27,6 +31,10 @@ fn repro(args: &[&str]) -> Output {
 
 fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
@@ -146,7 +154,6 @@ fn census_ignores_the_symmetry_environment_variable() {
         .env("SYMMETRY", "full")
         .output()
         .expect("repro binary runs");
-    let stdout_of = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
     assert_eq!(unset.status.code(), Some(0), "{}", stderr_of(&unset));
     assert!(
         stdout_of(&unset).contains("188 states"),
@@ -483,4 +490,54 @@ fn stray_operand_is_refused() {
 fn missing_check_expression_is_refused() {
     // Used to print the usage dump.
     assert_refused(&["check", "--n", "2"], "check wants its EXPR operand");
+}
+
+#[test]
+fn multi_byte_whitespace_separates_tokens() {
+    // Used to panic (exit 101): the parser stepped over whitespace one
+    // byte at a time and sliced inside the character.
+    for expr in ["always(safe)\u{a0}", "\u{3000}always(safe)"] {
+        let out = repro(&["check", expr, "--class", "atomic", "--n", "2", "--f", "0"]);
+        assert_eq!(out.status.code(), Some(0), "{expr:?}: {}", stderr_of(&out));
+        assert!(stdout_of(&out).contains("HOLDS   always(safe)"), "{expr:?}");
+    }
+}
+
+#[test]
+fn nesting_past_the_cap_is_refused() {
+    // Used to overflow the stack and abort (exit 134).
+    for expr in [
+        format!("{}always(safe)", "!".repeat(100_000)),
+        format!("{}always(safe)", "(".repeat(20_000)),
+    ] {
+        assert_refused(
+            &["check", &expr, "--class", "atomic", "--n", "2", "--f", "0"],
+            "operators nest deeper than 256 levels",
+        );
+    }
+}
+
+#[test]
+fn a_repeated_eventually_target_is_one_lane() {
+    // Used to panic (exit 101): each of the 65 occurrences took its
+    // own backward lane, one more than a sweep has.
+    let expr = "af(decided); ".repeat(65);
+    let out = repro(&["check", &expr, "--class", "atomic", "--n", "2", "--f", "0"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    assert_eq!(stdout.matches("HOLDS   eventually(decided)").count(), 65);
+    assert!(stdout.contains("passes: 1 forward, 1 backward (fused)"));
+}
+
+#[test]
+fn more_distinct_eventually_targets_than_lanes_are_refused() {
+    // Used to panic (exit 101) in the evaluator.
+    let expr = (0..=64)
+        .map(|v| format!("af(decided({v}))"))
+        .collect::<Vec<_>>()
+        .join("; ");
+    assert_refused(
+        &["check", &expr, "--class", "atomic", "--n", "2", "--f", "0"],
+        "a batch supports at most 64 distinct eventually/leads-to targets",
+    );
 }
